@@ -466,20 +466,23 @@ def _run_comm_estimate(config: RunConfig) -> Report:
 
 
 def _read_bench_medians(path: str) -> dict:
-    """(case, kernel) -> median seconds from a bench report CSV."""
+    """(case, kernel[, variant]) -> median seconds from a bench report CSV.
+
+    Rows are keyed by variant too when the report has a variant column,
+    so a default two-variant bench report compares row by row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)
     need = {"case", "kernel", "median_s"}
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
         raise ConfigError(f"{path}: not a bench report (missing columns {sorted(need)})")
+    key_columns = ("case", "kernel", "variant")[: 3 if "variant" in reader.fieldnames else 2]
     medians: dict = {}
     for row in reader:
-        key = (row["case"], row["kernel"])
+        key = tuple(row[c] for c in key_columns)
         if key in medians:
-            raise ConfigError(
-                f"{path}: duplicate rows for {key}; compare needs one variant per report"
-            )
+            raise ConfigError(f"{path}: duplicate rows for {key}")
         medians[key] = float(row["median_s"])
     if not medians:
         raise ConfigError(f"{path}: no rows found")
@@ -487,7 +490,11 @@ def _read_bench_medians(path: str) -> dict:
 
 
 def summarize(before: dict, after: dict) -> list:
-    """Per-kernel before/after ratios plus an overall row (ratio of sums)."""
+    """Per-row before/after ratios plus an overall row (ratio of sums).
+
+    Keys are (case, kernel) or (case, kernel, variant) tuples; each row is
+    the key followed by before, after and their ratio.
+    """
     missing_after = sorted(set(before) - set(after))
     missing_before = sorted(set(after) - set(before))
     if missing_after or missing_before:
@@ -496,15 +503,12 @@ def summarize(before: dict, after: dict) -> list:
             parts.append(f"missing from after: {missing_after}")
         if missing_before:
             parts.append(f"missing from before: {missing_before}")
-        raise ConfigError("reports do not cover the same (case, kernel) set; " + "; ".join(parts))
-    rows = []
-    for case, kernel in sorted(before):
-        b = before[(case, kernel)]
-        a = after[(case, kernel)]
-        rows.append((case, kernel, b, a, b / a))
+        raise ConfigError("reports do not cover the same rows; " + "; ".join(parts))
+    rows = [key + (before[key], after[key], before[key] / after[key]) for key in sorted(before)]
     total_b = sum(before.values())
     total_a = sum(after.values())
-    rows.append(("all", "overall", total_b, total_a, total_b / total_a))
+    blanks = ("",) * (len(next(iter(before))) - 2)
+    rows.append(("all", "overall") + blanks + (total_b, total_a, total_b / total_a))
     return rows
 
 
@@ -512,7 +516,7 @@ def _run_compare(config: RunConfig) -> Report:
     before = _read_bench_medians(config.before)
     after = _read_bench_medians(config.after)
     rows = summarize(before, after)
-    columns = ("case", "kernel", "before_s", "after_s", "ratio")
+    columns = ("case", "kernel", "variant")[: len(rows[0]) - 3] + ("before_s", "after_s", "ratio")
     return Report(columns, rows, _meta(config, before=config.before, after=config.after))
 
 

@@ -138,15 +138,17 @@ def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) ->
     n_theta, n_ky, n_kx = h.shape[3:]
     if phi.shape != (n_theta, n_ky, n_kx):
         raise ValueError(f"phi shape {phi.shape} != field dims {(n_theta, n_ky, n_kx)}")
-    plan_x, plan_y = plans
     batch = h.reshape(-1, n_theta, n_ky, n_kx)
-    if threads <= 1 or batch.shape[0] < 2 * threads:
-        out = bracket(batch, phi, plan_x, plan_y)
-    else:
-        chunks = np.array_split(batch, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: bracket(c, phi, plan_x, plan_y), chunks))
-        out = np.concatenate(parts)
+    if threads <= 1 or len(batch) < 2 * threads:
+        return bracket(batch, phi, *plans).reshape(h.shape)
+    out = np.empty(batch.shape, dtype=complex)
+    edges = [len(batch) * i // threads for i in range(threads + 1)]
+
+    def chunk(lo, hi):
+        out[lo:hi] = bracket(batch[lo:hi], phi, *plans)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(chunk, edges[:-1], edges[1:]))
     return out.reshape(h.shape)
 
 

@@ -116,6 +116,52 @@ def bracket_convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def dft_oracle_2d(field: np.ndarray) -> np.ndarray:
+    """Forward transform of a real field by direct summation.
+
+    Returns the unscaled half spectrum: rows ky = 0 .. n_y//2, columns the
+    full kx range in wrap order.  O(N^2) per output point by construction
+    (dense exponential matrices, no FFT anywhere), so it serves as an
+    independent oracle for the production transforms.  It uses the bare
+    DFT convention: forward unscaled, inverse divided by n_x*n_y, so it
+    differs from spectral.to_spectrum / to_real by the grid point count.
+    """
+    field = np.asarray(field, dtype=float)
+    n_y, n_x = field.shape
+    y = np.arange(n_y)
+    x = np.arange(n_x)
+    ky = np.arange(n_y // 2 + 1)
+    wy = np.exp(-2j * np.pi * np.outer(ky, y) / n_y)
+    wx = np.exp(-2j * np.pi * np.outer(np.arange(n_x), x) / n_x)
+    return wy @ field.astype(complex) @ wx.T
+
+
+def idft_oracle_2d(spec: np.ndarray, n_y: int) -> np.ndarray:
+    """Inverse of :func:`dft_oracle_2d` by direct summation, divided by n_x*n_y.
+
+    Rows beyond the stored half are reconstructed from conjugate symmetry
+    before the sum; rows whose mirror is also missing stay zero, so a
+    spectrum already embedded in a larger half grid inverts correctly.
+    """
+    spec = np.asarray(spec, dtype=complex)
+    m, n_x = spec.shape
+    if m > n_y // 2 + 1:
+        raise ValueError(f"{m} spectral rows do not fit a grid of {n_y} points")
+    neg = (-np.arange(n_x)) % n_x
+    full = np.zeros((n_y, n_x), dtype=complex)
+    full[:m] = spec
+    for row in range(m, n_y):
+        mirror = n_y - row
+        if 1 <= mirror < m:
+            full[row] = np.conj(spec[mirror][neg])
+    y = np.arange(n_y)
+    x = np.arange(n_x)
+    ey = np.exp(2j * np.pi * np.outer(y, np.arange(n_y)) / n_y)
+    ex = np.exp(2j * np.pi * np.outer(x, np.arange(n_x)) / n_x)
+    out = ey @ full @ ex.T / (n_x * n_y)
+    return out.real
+
+
 def _c2r_representable(spec: np.ndarray) -> np.ndarray:
     spec = hermitian_ky0(np.asarray(spec, dtype=complex))
     n_kx = spec.shape[-1]

@@ -1,10 +1,14 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gyroproxy
 from gyroproxy.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -42,6 +46,15 @@ def test_version_flag(capsys):
         build_parser().parse_args(["--version"])
     assert exc.value.code == 0
     assert "gyroproxy" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs():
+    # python -m gyroproxy from a source tree, without an install
+    env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gyroproxy", "plan-padding", "--n", "480"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "720" in proc.stdout
 
 
 def test_subcommand_required():
@@ -233,10 +246,27 @@ def test_compare_rejects_mismatched_coverage(tmp_path, capsys):
     assert "cover" in capsys.readouterr().err
 
 
-def test_compare_rejects_two_variants_per_report(tmp_path, capsys):
+def test_compare_pairs_two_variant_reports_by_variant(tmp_path, capsys):
+    # the default bench run writes an original and an optimized row
     bench = tmp_path / "both.csv"
     main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--reps", "3",
           "--out", str(bench)])
+    capsys.readouterr()
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--before", str(bench), "--after", str(bench), "--out", str(out)])
+    assert code == EXIT_OK
+    _, rows = read_report(out)
+    assert [(r["kernel"], r["variant"]) for r in rows] == [
+        ("shear", "optimized"), ("shear", "original"), ("overall", "")]
+    assert all(float(r["ratio"]) == 1.0 for r in rows)
+
+
+def test_compare_rejects_duplicate_rows(tmp_path, capsys):
+    bench = tmp_path / "dup.csv"
+    main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
+          "original", "--reps", "3", "--out", str(bench)])
+    lines = bench.read_text().splitlines(keepends=True)
+    bench.write_text("".join(lines) + lines[-1])
     capsys.readouterr()
     code = main(["compare", "--before", str(bench), "--after", str(bench)])
     assert code == EXIT_CONFIG

@@ -263,6 +263,13 @@ def test_nonlinear_thread_count_does_not_change_results():
     assert np.array_equal(one, four)
 
 
+def test_nonlinear_more_threads_than_blocks():
+    # SMALL's whole batch is one bracket block; six threads split it into six chunks
+    h, inputs = seeded(SMALL, 19)
+    one = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=1)
+    assert np.array_equal(nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=6), one)
+
+
 def test_nonlinear_preserves_representability():
     shape = GridShape(n_radial=8, n_toroidal=4, n_theta=2, n_xi=2, n_energy=1, n_species=1)
     gen = substream(20, 0)

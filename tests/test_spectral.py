@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from gyroproxy import spectral
 from gyroproxy.grid import substream
-from gyroproxy.oracles import bracket_convolution_oracle
+from gyroproxy.oracles import bracket_convolution_oracle, dft_oracle_2d, idft_oracle_2d
 from gyroproxy.spectral import (
     bracket,
     bracket_plans,
-    dft_oracle_2d,
     hermitian_ky0,
-    idft_oracle_2d,
     is_hermitian,
     kx_derivative_values,
     kx_values,
@@ -167,6 +166,18 @@ def test_nyquist_column_dropped_on_size_change():
     assert np.all(out[:, 4] == 0.0)
 
 
+@pytest.mark.parametrize("n_kx, n_x", [(8, 8), (8, 12), (7, 7), (7, 12)])
+def test_roundtrip_keeps_nyquist_only_at_same_size(n_kx, n_x):
+    # nonzero Nyquist column for even n_kx; the ky = 0 row made representable
+    gen = substream(n_kx * 13 + n_x, 0)
+    spec = hermitian_ky0(gen.uniform(-1, 1, (3, n_kx)) + 1j * gen.uniform(-1, 1, (3, n_kx)))
+    back = to_spectrum(to_real(spec, n_x, 9), n_kx, 3)
+    if n_kx % 2 == 0 and n_x > n_kx:
+        assert np.array_equal(back[:, n_kx // 2], np.zeros(3))
+        spec[:, n_kx // 2] = 0.0
+    assert rel_err(back, spec) < 1e-13
+
+
 def test_hermitian_projection():
     gen = substream(12, 0)
     spec = gen.uniform(-1, 1, (3, 8)) + 1j * gen.uniform(-1, 1, (3, 8))
@@ -300,3 +311,37 @@ def test_bracket_rejects_shape_mismatch():
     g = random_spectrum(8, 3, substream(27, 0))
     with pytest.raises(ValueError):
         bracket(f, g, 16, 16)
+
+
+def _block_rows(n_kx, n_ky, per_row=1):
+    """Leading-axis rows per bracket block for the tight plans of an n_kx x n_ky spectrum."""
+    plan_x, plan_y = bracket_plans(n_kx, n_ky)
+    return spectral._BLOCK_BYTES // (48 * plan_x.n_padded * plan_y.n_padded * per_row)
+
+
+@pytest.mark.parametrize("rows", ["two blocks and a part", "under one block"])
+def test_batched_bracket_equals_per_slice(rows):
+    n_kx, n_ky = 48, 8
+    block = _block_rows(n_kx, n_ky)
+    n = 2 * block + 7 if rows == "two blocks and a part" else 5
+    gen = substream(28, 0)
+    f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
+    g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
+    plans = bracket_plans(n_kx, n_ky)
+    got = bracket(f, g, *plans)
+    assert np.array_equal(got, np.stack([bracket(f[i], g[i], *plans) for i in range(n)]))
+
+
+def test_bracket_broadcast_equals_explicit_batch():
+    # g varies along the trailing batch axis only, as phi does in the nonlinear kernel
+    n_kx, n_ky, n_t = 48, 8, 3
+    n = 2 * _block_rows(n_kx, n_ky, n_t) + 1
+    gen = substream(29, 0)
+    f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
+    g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n_t)])
+    plans = bracket_plans(n_kx, n_ky)
+    got = bracket(f, g, *plans)
+    assert np.array_equal(got, bracket(f, np.broadcast_to(g, f.shape).copy(), *plans))
+    assert np.array_equal(got[n - 1, 2], bracket(f[n - 1, 2], g[2], *plans))
+    # a single f against a batch of g broadcasts the other way
+    assert np.array_equal(bracket(f[0, 0], g, *plans)[1], bracket(f[0, 0], g[1], *plans))
