@@ -466,21 +466,16 @@ def _run_comm_estimate(config: RunConfig) -> Report:
 
 
 def _read_bench_medians(path: str) -> dict:
-    """(case, kernel[, variant]) -> median seconds from a bench report CSV.
-
-    Rows are keyed by variant too when the report has a variant column,
-    so a default two-variant bench report compares row by row.
-    """
+    """(case, kernel, variant) -> median seconds from a bench report CSV."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)
-    need = {"case", "kernel", "median_s"}
+    need = {"case", "kernel", "variant", "median_s"}
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
         raise ConfigError(f"{path}: not a bench report (missing columns {sorted(need)})")
-    key_columns = ("case", "kernel", "variant")[: 3 if "variant" in reader.fieldnames else 2]
     medians: dict = {}
     for row in reader:
-        key = tuple(row[c] for c in key_columns)
+        key = (row["case"], row["kernel"], row["variant"])
         if key in medians:
             raise ConfigError(f"{path}: duplicate rows for {key}")
         medians[key] = float(row["median_s"])
@@ -490,11 +485,7 @@ def _read_bench_medians(path: str) -> dict:
 
 
 def summarize(before: dict, after: dict) -> list:
-    """Per-row before/after ratios plus an overall row (ratio of sums).
-
-    Keys are (case, kernel) or (case, kernel, variant) tuples; each row is
-    the key followed by before, after and their ratio.
-    """
+    """Per-(case, kernel, variant) before/after ratios plus an overall row (ratio of sums)."""
     missing_after = sorted(set(before) - set(after))
     missing_before = sorted(set(after) - set(before))
     if missing_after or missing_before:
@@ -503,12 +494,15 @@ def summarize(before: dict, after: dict) -> list:
             parts.append(f"missing from after: {missing_after}")
         if missing_before:
             parts.append(f"missing from before: {missing_before}")
-        raise ConfigError("reports do not cover the same rows; " + "; ".join(parts))
-    rows = [key + (before[key], after[key], before[key] / after[key]) for key in sorted(before)]
+        raise ConfigError("reports do not cover the same (case, kernel, variant) set; " + "; ".join(parts))
+    rows = []
+    for case, kernel, variant in sorted(before):
+        b = before[(case, kernel, variant)]
+        a = after[(case, kernel, variant)]
+        rows.append((case, kernel, variant, b, a, b / a))
     total_b = sum(before.values())
     total_a = sum(after.values())
-    blanks = ("",) * (len(next(iter(before))) - 2)
-    rows.append(("all", "overall") + blanks + (total_b, total_a, total_b / total_a))
+    rows.append(("all", "overall", "", total_b, total_a, total_b / total_a))
     return rows
 
 
@@ -516,7 +510,7 @@ def _run_compare(config: RunConfig) -> Report:
     before = _read_bench_medians(config.before)
     after = _read_bench_medians(config.after)
     rows = summarize(before, after)
-    columns = ("case", "kernel", "variant")[: len(rows[0]) - 3] + ("before_s", "after_s", "ratio")
+    columns = ("case", "kernel", "variant", "before_s", "after_s", "ratio")
     return Report(columns, rows, _meta(config, before=config.before, after=config.after))
 
 

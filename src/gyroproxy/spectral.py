@@ -57,7 +57,7 @@ def kx_derivative_values(n_kx: int) -> np.ndarray:
 
 
 def _kx_runs(n_kx, n_ky, n_x, n_y):
-    """Check the modes fit the grid; return the lengths of the kx >= 0 and kx < 0 runs carried."""
+    """Check the modes fit the grid; return the lengths of the kx >= 0 and kx < 0 runs kept."""
     if n_kx > n_x:
         raise ValueError(f"{n_kx} radial modes do not fit a grid of {n_x} points")
     if n_ky > n_y // 2 + 1:
@@ -102,7 +102,8 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
     field = np.asarray(field, dtype=float)
     n_y, n_x = field.shape[-2:]
     pos, neg = _kx_runs(n_kx, n_ky, n_x, n_y)
-    rows = np.fft.fft(np.fft.rfft(field, axis=-2, norm="forward")[..., :n_ky, :], axis=-1, norm="forward")
+    half = np.fft.rfft(field, axis=-2, norm="forward")
+    rows = np.fft.fft(half[..., :n_ky, :], axis=-1, norm="forward")
     out = np.zeros(field.shape[:-2] + (n_ky, n_kx), dtype=complex)
     out[..., :pos] = rows[..., :pos]
     out[..., n_kx - neg:] = rows[..., n_x - neg:]
@@ -139,7 +140,9 @@ def random_spectrum(n_kx: int, n_ky: int, gen: np.random.Generator) -> np.ndarra
     for even n_kx, the unpaired Nyquist column is zeroed, so the result
     survives a synthesis round trip exactly.
     """
-    spec = hermitian_ky0(gen.uniform(-1.0, 1.0, (n_ky, n_kx)) + 1j * gen.uniform(-1.0, 1.0, (n_ky, n_kx)))
+    re = gen.uniform(-1.0, 1.0, (n_ky, n_kx))
+    im = gen.uniform(-1.0, 1.0, (n_ky, n_kx))
+    spec = hermitian_ky0(re + 1j * im)
     if n_kx % 2 == 0:
         spec[..., n_kx // 2] = 0.0
     return spec
@@ -170,6 +173,10 @@ def bracket_plans(n_kx: int, n_ky: int, rule=DEFAULT_RULE, allowed_primes=DEFAUL
     return plan_x, plan_y
 
 
+def _plan_size(plan) -> int:
+    return plan.n_padded if isinstance(plan, PaddedPlan) else int(plan)
+
+
 #: Padded-grid bytes per bracket block, at about six real fields (48 bytes a point) per
 #: slice: each stage then fits a 2 MiB L2.  Fastest of 1-32 MiB on a 2-core x86-64 host.
 _BLOCK_BYTES = 1 << 22
@@ -197,11 +204,13 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
     Raises:
         ValueError: shape mismatch or plan below its dealias bound.
     """
-    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    f = np.asarray(f, dtype=complex)
+    g = np.asarray(g, dtype=complex)
     if f.shape[-2:] != g.shape[-2:]:
         raise ValueError(f"logical shapes differ: {f.shape[-2:]} vs {g.shape[-2:]}")
     n_ky, n_kx = f.shape[-2:]
-    n_x, n_y = (p.n_padded if isinstance(p, PaddedPlan) else int(p) for p in (plan_x, plan_y))
+    n_x = _plan_size(plan_x)
+    n_y = _plan_size(plan_y)
     if n_x < min_padded_x(n_kx):
         raise ValueError(f"plan_x size {n_x} below dealias bound {min_padded_x(n_kx)}")
     if n_y < min_padded_y(n_ky):
@@ -209,7 +218,9 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
     shape = np.broadcast_shapes(f.shape, g.shape)
     batch = shape[:-2] or (1,)
     f = np.broadcast_to(f, batch + (n_ky, n_kx))
-    ik = np.stack(np.broadcast_arrays(1j * kx_derivative_values(n_kx), 1j * np.arange(n_ky)[:, None]))
+    ikx = 1j * kx_derivative_values(n_kx)
+    iky = 1j * np.arange(n_ky, dtype=float)[:, None]
+    ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
     gd = np.broadcast_to(to_real(g[..., None, :, :] * ik, n_x, n_y), batch + (2, n_y, n_x))
     step = max(1, _BLOCK_BYTES // (48 * n_x * n_y * (int(np.prod(batch[1:])) or 1)))
     out = np.empty(batch + (n_ky, n_kx), dtype=complex)

@@ -281,11 +281,10 @@ def test_compare_rejects_foreign_csv(tmp_path):
 
 
 def test_summarize_overall_is_ratio_of_sums():
-    before = {("c", "k1"): 2.0, ("c", "k2"): 6.0}
-    after = {("c", "k1"): 1.0, ("c", "k2"): 1.0}
+    before = {("c", "k1", "original"): 2.0, ("c", "k2", "original"): 6.0}
+    after = {("c", "k1", "original"): 1.0, ("c", "k2", "original"): 1.0}
     rows = summarize(before, after)
-    assert rows[-1][:2] == ("all", "overall")
-    assert float(rows[-1][4]) == 4.0
+    assert rows[-1] == ("all", "overall", "", 8.0, 2.0, 4.0)
 
 
 def test_comm_estimate_records_chosen_plan(tmp_path, capsys):

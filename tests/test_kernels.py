@@ -255,19 +255,15 @@ def test_nonlinear_slice_matches_convolution_oracle():
 
 
 def test_nonlinear_thread_count_does_not_change_results():
+    # SMALL's whole batch is one bracket block, so six threads is more threads than blocks
     h, inputs = seeded(SMALL, 19)
     one = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=1)
     two = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=2)
     four = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=4)
+    six = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=6)
     assert np.array_equal(one, two)
     assert np.array_equal(one, four)
-
-
-def test_nonlinear_more_threads_than_blocks():
-    # SMALL's whole batch is one bracket block; six threads split it into six chunks
-    h, inputs = seeded(SMALL, 19)
-    one = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=1)
-    assert np.array_equal(nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=6), one)
+    assert np.array_equal(one, six)
 
 
 def test_nonlinear_preserves_representability():

@@ -313,35 +313,52 @@ def test_bracket_rejects_shape_mismatch():
         bracket(f, g, 16, 16)
 
 
-def _block_rows(n_kx, n_ky, per_row=1):
-    """Leading-axis rows per bracket block for the tight plans of an n_kx x n_ky spectrum."""
-    plan_x, plan_y = bracket_plans(n_kx, n_ky)
-    return spectral._BLOCK_BYTES // (48 * plan_x.n_padded * plan_y.n_padded * per_row)
+def _f_block_sizes(monkeypatch, f, g, plans):
+    """bracket(f, g) and the leading-axis rows of each block of f it synthesized."""
+    sizes = []
+    to_real = spectral.to_real
+
+    def spy(spec, n_x, n_y):
+        sizes.append(len(spec))
+        return to_real(spec, n_x, n_y)
+
+    monkeypatch.setattr(spectral, "to_real", spy)
+    out = bracket(f, g, *plans)
+    monkeypatch.setattr(spectral, "to_real", to_real)
+    return out, sizes[1:]  # the first call synthesizes g
 
 
 @pytest.mark.parametrize("rows", ["two blocks and a part", "under one block"])
-def test_batched_bracket_equals_per_slice(rows):
+def test_batched_bracket_equals_per_slice(rows, monkeypatch):
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1 << 20)  # a few slices per block
     n_kx, n_ky = 48, 8
-    block = _block_rows(n_kx, n_ky)
-    n = 2 * block + 7 if rows == "two blocks and a part" else 5
-    gen = substream(28, 0)
-    f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
-    g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
     plans = bracket_plans(n_kx, n_ky)
-    got = bracket(f, g, *plans)
+    gen = substream(28, 0)
+    batch = lambda n: np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
+    step = _f_block_sizes(monkeypatch, batch(32), batch(32), plans)[1][0]
+    assert 2 <= step < 32
+    n = 2 * step + 1 if rows == "two blocks and a part" else step - 1
+    f, g = batch(n), batch(n)
+    got, sizes = _f_block_sizes(monkeypatch, f, g, plans)
+    assert sizes == ([step, step, 1] if rows == "two blocks and a part" else [n])
     assert np.array_equal(got, np.stack([bracket(f[i], g[i], *plans) for i in range(n)]))
 
 
-def test_bracket_broadcast_equals_explicit_batch():
+def test_bracket_broadcast_equals_explicit_batch(monkeypatch):
     # g varies along the trailing batch axis only, as phi does in the nonlinear kernel
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1 << 20)
     n_kx, n_ky, n_t = 48, 8, 3
-    n = 2 * _block_rows(n_kx, n_ky, n_t) + 1
-    gen = substream(29, 0)
-    f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
-    g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n_t)])
     plans = bracket_plans(n_kx, n_ky)
-    got = bracket(f, g, *plans)
+    gen = substream(29, 0)
+    g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n_t)])
+    batch = lambda n: np.stack([random_spectrum(n_kx, n_ky, gen)
+                                for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
+    step = _f_block_sizes(monkeypatch, batch(16), g, plans)[1][0]
+    assert 2 <= step < 16
+    f = batch(2 * step + 1)
+    got, sizes = _f_block_sizes(monkeypatch, f, g, plans)
+    assert sizes == [step, step, 1]
     assert np.array_equal(got, bracket(f, np.broadcast_to(g, f.shape).copy(), *plans))
-    assert np.array_equal(got[n - 1, 2], bracket(f[n - 1, 2], g[2], *plans))
+    assert np.array_equal(got[-1, 2], bracket(f[-1, 2], g[2], *plans))
     # a single f against a batch of g broadcasts the other way
     assert np.array_equal(bracket(f[0, 0], g, *plans)[1], bracket(f[0, 0], g[1], *plans))
