@@ -20,10 +20,12 @@ Synthesis (:func:`to_real`) is the plain mode sum
 evaluated on the target grid, so a unit coefficient yields a
 unit-amplitude wave no matter how far the grid is padded.  Analysis
 (:func:`to_spectrum`) divides by the grid point count, making it the
-exact inverse of synthesis on retained modes.  Both scale inside the FFT
-(``norm="forward"``) and prune the x-transform to the n_ky retained rows
-(Markel 1971).  :func:`bracket` runs a batch in cache-sized blocks of
-slices; the block size never changes a result.
+exact inverse of synthesis on retained modes.  Both scale inside the
+transforms (``norm="forward"``) and form only the n_ky retained rows: the
+x-stage is a pruned FFT (Markel 1971), the y-stage a product with a small
+real DFT matrix made by irfft/rfft of identity rows, so its ky = 0 and
+Nyquist handling is pocketfft's own.  :func:`bracket` runs a batch in
+cache-sized blocks of slices; the block size never changes a result.
 
 The unpaired Nyquist column
 ---------------------------
@@ -36,6 +38,8 @@ is also what keeps the bracket's antisymmetry exact.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -65,14 +69,25 @@ def _kx_runs(n_kx, n_ky, n_x, n_y):
     return (n_kx + 1) // 2, n_kx // 2 - (n_kx % 2 == 0 and n_x > n_kx)
 
 
+@functools.lru_cache(maxsize=16)
+def _y_matrices(n_ky: int, n_y: int):
+    """Cached read-only y-DFT matrices: synthesis (n_y, 2*n_ky), analysis (2*n_ky, n_y)."""
+    unit = np.eye(n_ky, n_y // 2 + 1)
+    synthesis = np.fft.irfft(np.concatenate((unit, 1j * unit)), n=n_y, norm="forward").T.copy()
+    coef = np.fft.rfft(np.eye(n_y), norm="forward")[:, :n_ky].T
+    analysis = np.concatenate((coef.real, coef.imag))
+    synthesis.flags.writeable = analysis.flags.writeable = False
+    return synthesis, analysis
+
+
 def to_real(spec: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
     """Synthesize a real field of shape (..., n_y, n_x) from retained modes.
 
-    Slice-embeds the n_ky rows, x-transforms only those, writes them into
-    a zeroed half grid and y-transforms it, both unscaled (norm="forward")
-    so coefficients keep their amplitude.  Given Hermitian input the output
-    is real to machine precision; anti-Hermitian content in the ky = 0 row
-    is not representable and is projected out.
+    Slice-embeds the n_ky rows and x-transforms only those; the y-stage
+    multiplies their stacked real and imaginary parts by the synthesis
+    matrix.  Both are unscaled (norm="forward") so coefficients keep their
+    amplitude.  Anti-Hermitian content in the ky = 0 row is not
+    representable and is projected out, as irfft does.
 
     Raises:
         ValueError: target grid smaller than the spectrum.
@@ -83,18 +98,17 @@ def to_real(spec: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
     rows = np.zeros(spec.shape[:-2] + (n_ky, n_x), dtype=complex)
     rows[..., :pos] = spec[..., :pos]
     rows[..., n_x - neg:] = spec[..., n_kx - neg:]
-    half = np.zeros(spec.shape[:-2] + (n_y // 2 + 1, n_x), dtype=complex)
-    half[..., :n_ky, :] = np.fft.ifft(rows, axis=-1, norm="forward")
-    return np.fft.irfft(half, n=n_y, axis=-2, norm="forward")
+    rows = np.fft.ifft(rows, axis=-1, norm="forward")
+    return _y_matrices(n_ky, n_y)[0] @ np.concatenate((rows.real, rows.imag), axis=-2)
 
 
 def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
     """Retained modes of a real field, shape (..., n_ky, n_kx).
 
-    Forward transforms scaled by 1/n (norm="forward"), the x one over the
-    n_ky retained rows only, then a slice truncation that zeroes the unpaired
-    Nyquist column when the grid is larger (see module docstring), so
-    to_spectrum(to_real(S, nx, ny), n_kx, n_ky) == S on retained modes.
+    The analysis matrix forms only the n_ky retained rows, then an x-FFT of
+    those, both scaled by 1/n (norm="forward"), then a slice truncation that
+    zeroes the unpaired Nyquist column when the grid is larger (see module
+    docstring), so to_spectrum(to_real(S, nx, ny), n_kx, n_ky) == S on retained modes.
 
     Raises:
         ValueError: more modes requested than the field resolves.
@@ -102,8 +116,11 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
     field = np.asarray(field, dtype=float)
     n_y, n_x = field.shape[-2:]
     pos, neg = _kx_runs(n_kx, n_ky, n_x, n_y)
-    half = np.fft.rfft(field, axis=-2, norm="forward")
-    rows = np.fft.fft(half[..., :n_ky, :], axis=-1, norm="forward")
+    parts = _y_matrices(n_ky, n_y)[1] @ field
+    half = np.empty(field.shape[:-2] + (n_ky, n_x), dtype=complex)
+    half.real = parts[..., :n_ky, :]
+    half.imag = parts[..., n_ky:, :]
+    rows = np.fft.fft(half, axis=-1, norm="forward")
     out = np.zeros(field.shape[:-2] + (n_ky, n_kx), dtype=complex)
     out[..., :pos] = rows[..., :pos]
     out[..., n_kx - neg:] = rows[..., n_x - neg:]
@@ -111,7 +128,7 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
 
 
 def hermitian_ky0(spec: np.ndarray) -> np.ndarray:
-    """Project the ky = 0 row onto its Hermitian part (in place semantics: returns a copy).
+    """Return a copy with the ky = 0 row projected onto its Hermitian part.
 
     The complex-to-real convention cannot carry anti-Hermitian ky = 0
     content; this makes that projection explicit for oracle comparisons.
@@ -177,9 +194,9 @@ def _plan_size(plan) -> int:
     return plan.n_padded if isinstance(plan, PaddedPlan) else int(plan)
 
 
-#: Padded-grid bytes per bracket block, at about six real fields (48 bytes a point) per
-#: slice: each stage then fits a 2 MiB L2.  Fastest of 1-32 MiB on a 2-core x86-64 host.
-_BLOCK_BYTES = 1 << 22
+#: Padded-grid bytes per bracket block, at 32 bytes a point per slice (f's two derivatives,
+#: their product and its temporary).  On a 2-core x86-64 host 1-8 MiB timed alike, 16+ slower.
+_BLOCK_BYTES = 1 << 21
 
 
 def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
@@ -222,7 +239,7 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
     iky = 1j * np.arange(n_ky, dtype=float)[:, None]
     ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
     gd = np.broadcast_to(to_real(g[..., None, :, :] * ik, n_x, n_y), batch + (2, n_y, n_x))
-    step = max(1, _BLOCK_BYTES // (48 * n_x * n_y * (int(np.prod(batch[1:])) or 1)))
+    step = max(1, _BLOCK_BYTES // (32 * n_x * n_y * (int(np.prod(batch[1:])) or 1)))
     out = np.empty(batch + (n_ky, n_kx), dtype=complex)
     for lo in range(0, batch[0], step):
         rows = slice(lo, lo + step)

@@ -215,6 +215,73 @@ def test_parseval_identity():
 
 
 # ---------------------------------------------------------------------------
+# DFT-matrix y-stage against the irfft/rfft pipeline it replaced
+
+
+def _kx_runs(n_kx, n_x):
+    return (n_kx + 1) // 2, n_kx // 2 - (n_kx % 2 == 0 and n_x > n_kx)
+
+
+def fft_to_real(spec, n_x, n_y):
+    """to_real with its y-stage as irfft over a zeroed n_y//2 + 1 row half grid."""
+    n_ky, n_kx = spec.shape[-2:]
+    pos, neg = _kx_runs(n_kx, n_x)
+    rows = np.zeros(spec.shape[:-2] + (n_ky, n_x), dtype=complex)
+    rows[..., :pos] = spec[..., :pos]
+    rows[..., n_x - neg:] = spec[..., n_kx - neg:]
+    half = np.zeros(spec.shape[:-2] + (n_y // 2 + 1, n_x), dtype=complex)
+    half[..., :n_ky, :] = np.fft.ifft(rows, axis=-1, norm="forward")
+    return np.fft.irfft(half, n=n_y, axis=-2, norm="forward")
+
+
+def fft_to_spectrum(field, n_kx, n_ky):
+    """to_spectrum with its y-stage as rfft along the strided axis."""
+    n_x = field.shape[-1]
+    pos, neg = _kx_runs(n_kx, n_x)
+    half = np.fft.rfft(field, axis=-2, norm="forward")
+    rows = np.fft.fft(half[..., :n_ky, :], axis=-1, norm="forward")
+    out = np.zeros(field.shape[:-2] + (n_ky, n_kx), dtype=complex)
+    out[..., :pos] = rows[..., :pos]
+    out[..., n_kx - neg:] = rows[..., n_x - neg:]
+    return out
+
+
+@pytest.mark.parametrize("n_y", [12, 13])
+@pytest.mark.parametrize("n_ky", [1, 2, "n_y//2+1"])
+def test_matrix_y_stage_matches_fft(n_y, n_ky):
+    # n_ky = n_y//2 + 1 holds the self-paired Nyquist row when n_y is even
+    n_ky = n_y // 2 + 1 if n_ky == "n_y//2+1" else n_ky
+    n_kx, n_x = 8, 12
+    gen = substream(30 + n_y, n_ky)
+    # no Hermitian projection: the ky = 0 row carries anti-Hermitian content
+    spec = gen.uniform(-1, 1, (2, n_ky, n_kx)) + 1j * gen.uniform(-1, 1, (2, n_ky, n_kx))
+    assert not is_hermitian(spec)
+    want = fft_to_real(spec, n_x, n_y)
+    assert rel_err(to_real(spec, n_x, n_y), want) < 1e-13
+    assert rel_err(to_real(hermitian_ky0(spec), n_x, n_y), want) < 1e-13
+    field = gen.uniform(-1, 1, (2, n_y, n_x))
+    assert rel_err(to_spectrum(field, n_kx, n_ky), fft_to_spectrum(field, n_kx, n_ky)) < 1e-13
+
+
+def test_batched_transforms_equal_per_slice():
+    gen = substream(31, 0)
+    spec = gen.uniform(-1, 1, (5, 3, 4, 8)) + 1j * gen.uniform(-1, 1, (5, 3, 4, 8))
+    field = to_real(spec, 12, 10)
+    assert np.array_equal(field, np.stack([[to_real(s, 12, 10) for s in row] for row in spec]))
+    back = to_spectrum(field, 8, 4)
+    assert np.array_equal(back, np.stack([[to_spectrum(f, 8, 4) for f in row] for row in field]))
+
+
+def test_y_matrices_are_cached_and_read_only():
+    synthesis, analysis = spectral._y_matrices(4, 10)
+    assert spectral._y_matrices(4, 10)[0] is synthesis
+    assert synthesis.shape == (10, 8) and analysis.shape == (8, 10)
+    for matrix in (synthesis, analysis):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # dealiased bracket
 
 
