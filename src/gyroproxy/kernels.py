@@ -12,9 +12,9 @@ Where a restructuring optimization exists, both sides of it are kept:
   and then copies it out; optimized writes the gather straight into the
   output.  Pure data movement, so the variants agree bitwise.
 * ``stream`` original accumulates into the output once per stencil offset
-  (reduction-style update order); optimized computes every output element
-  in a single fused pass over a circularly padded view.  Same terms in a
-  different association, so agreement is to rounding, not bitwise.
+  (reduction-style update order); optimized multiplies by the stencil's
+  real theta circulant in one batched real GEMM on the state's float view.
+  Same terms in a different association, so agreement is to rounding.
 
 ``field``, ``collision`` and ``nonlinear`` have one implementation; both
 variant labels run it so benchmark sweeps stay uniform.
@@ -29,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridShape, random_complex, random_state, substream
 from .spectral import bracket, bracket_plans
@@ -57,13 +56,15 @@ def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized") -> np.ndar
 
     out[..., t, :, :] = sum_d c_d * h[..., (t+d) mod n_theta, :, :]
     with offsets d = -w//2 .. w//2 for an odd stencil width w <= n_theta.
+    Optimized: circ[t, (t+d) mod n_theta] = c_d, applied to every theta
+    column of h.view(float) as one batched real GEMM.
     """
     _check_variant(variant)
-    stencil = np.asarray(stencil, dtype=float)
+    stencil = np.asarray(stencil)
     w = stencil.shape[0]
     n_theta = h.shape[3]
-    if w % 2 == 0:
-        raise ValueError(f"stencil width must be odd, got {w}")
+    if w % 2 == 0 or np.iscomplexobj(stencil):
+        raise ValueError(f"stencil must be real with odd width, got {stencil}")
     if w > n_theta:
         raise ValueError(f"stencil width {w} exceeds n_theta {n_theta}")
     half = w // 2
@@ -72,9 +73,11 @@ def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized") -> np.ndar
         for i, c in enumerate(stencil):
             out += c * np.roll(h, half - i, axis=3)
         return out
-    pad = np.concatenate([h[:, :, :, n_theta - half:], h, h[:, :, :, :half]], axis=3)
-    windows = sliding_window_view(pad, w, axis=3)
-    return windows @ stencil
+    circ = sum(c * np.roll(np.eye(n_theta), i - half, axis=1) for i, c in enumerate(stencil))
+    h = np.ascontiguousarray(h, dtype=complex)
+    out = np.empty(h.shape, dtype=complex)
+    np.matmul(circ, h.view(float).reshape(*h.shape[:4], -1), out=out.view(float).reshape(*h.shape[:4], -1))
+    return out
 
 
 def shear_kernel(h: np.ndarray, shifts, variant: str = "optimized") -> np.ndarray:
@@ -110,17 +113,18 @@ def collision_kernel(h: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Per-theta dense matrix-vector multiply over flattened velocity space.
 
     The velocity vector index is the C-order flattening of
-    (species, energy, xi), matching the state layout.
+    (species, energy, xi), matching the state layout.  The real matrices
+    multiply h.view(float) in one batched real GEMM, one per theta plane.
     """
     ns, ne, nxi, n_theta = h.shape[:4]
     m = ns * ne * nxi
-    if matrices.shape != (n_theta, m, m):
-        raise ValueError(f"need matrices of shape {(n_theta, m, m)}, got {matrices.shape}")
-    hs = h.reshape(m, n_theta, -1)
-    out = np.empty_like(hs)
-    for t in range(n_theta):
-        out[:, t] = matrices[t] @ hs[:, t]
-    return out.reshape(h.shape)
+    if matrices.shape != (n_theta, m, m) or np.iscomplexobj(matrices):
+        raise ValueError(f"need real matrices of shape {(n_theta, m, m)}, got {matrices.dtype} {matrices.shape}")
+    h = np.ascontiguousarray(h, dtype=complex)
+    out = np.empty(h.shape, dtype=complex)
+    hf, of = (a.view(float).reshape(m, n_theta, -1).transpose(1, 0, 2) for a in (h, out))
+    np.matmul(matrices, hf, out=of)
+    return out
 
 
 def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) -> np.ndarray:

@@ -123,6 +123,19 @@ def test_stream_matches_loop_oracle():
         assert rel_err(stream_kernel(h, DEFAULT_STENCIL, variant), want) < 1e-13
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "stencil",
+    [(0.25, 1.5, -0.75), (0.5, -1.25, 2.0, 0.375, -0.125)],
+    ids=["asymmetric", "full-width"],
+)
+def test_stream_circulant_edges_match_loop_oracle(variant, stencil):
+    # a nonzero centre, no symmetry to hide a transposed circulant, and a
+    # width equal to n_theta = 5 so every theta plane feeds every output
+    h = random_state(SMALL, 24)
+    assert rel_err(stream_kernel(h, stencil, variant), stream_oracle(h, stencil)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # shear
 
@@ -203,6 +216,31 @@ def test_collision_matches_loop_oracle():
         h, inputs = seeded(SMALL, seed)
         got = collision_kernel(h, inputs["matrices"])
         assert rel_err(got, collision_oracle(h, inputs["matrices"])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# real coefficients on the state's float view (stream, collision)
+
+
+@pytest.mark.parametrize("kernel,variant", [("stream", "original"), ("stream", "optimized"), ("collision", "optimized")])
+def test_float_view_kernels_accept_any_layout(kernel, variant):
+    # the product is written through a view of the output; a Fortran-order
+    # or strided state must not turn that view into a discarded copy
+    h, inputs = seeded(SMALL, 25)
+    want = run_kernel(kernel, h, inputs, variant)
+    strided = np.stack([h, random_state(SMALL, 26)], axis=-1)[..., 0]
+    assert not strided.flags.c_contiguous
+    for layout in (np.asfortranarray(h), strided):
+        assert np.array_equal(run_kernel(kernel, layout, inputs, variant), want)
+
+
+def test_float_view_kernels_reject_complex_coefficients():
+    h, inputs = seeded(SMALL, 27)
+    for variant in VARIANTS:
+        with pytest.raises(ValueError):
+            stream_kernel(h, (0.5j, 0.0, -0.5j), variant)
+    with pytest.raises(ValueError):
+        collision_kernel(h, inputs["matrices"].astype(complex))
 
 
 # ---------------------------------------------------------------------------
