@@ -1,0 +1,301 @@
+"""The correctness properties of the proxy, each stated once.
+
+Each check is a function of ``(case, seed)`` that returns
+``(value, limit, ok)``: the measured quantity, the bound it is held to,
+and whether the property holds.  ``gyroproxy verify`` runs every entry of
+:data:`CHECKS` at one case and seed; ``tests/test_acceptance.py`` runs the
+same functions and sweeps the seed of the kernel-oracle checks, which
+draw one random state per call.  The other checks draw their full sample
+(4096 padding sizes, 102 bracket spectra, 50 transform fields, 13
+communication volumes) on every call; together they cost under a second.
+
+A limit is an upper bound on the value unless the check says otherwise.
+Every value is deterministic for a fixed case and seed, and no check
+derives a seed from another, so any seed the CLI accepts works.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+
+import numpy as np
+
+from . import oracles
+from .commsim import (
+    CommPlan,
+    VolumeModel,
+    allreduce_volume,
+    alltoall_volume,
+    builtin_topology,
+    collective_time,
+    natural_plan,
+    plan_decomposition,
+)
+from .grid import component_mean_abs, make_case, random_state, substream
+from .kernels import KERNEL_NAMES, checksum, make_kernel_inputs, run_kernel, time_kernel
+from .padding import cost_score, dealias_minimum, factorize, naive_padded_size, plan_padded_size
+from .spectral import bracket, bracket_plans, random_spectrum, to_real, to_spectrum
+
+#: Relative tolerance of each kernel against its oracle.  shear is pure
+#: data movement and must match exactly.  perfbench/workloads.py keeps a
+#: copy that a test holds equal to this one.
+TOLERANCE = {"field": 1e-13, "stream": 1e-13, "shear": 0.0, "collision": 1e-12, "nonlinear": 1e-12}
+
+#: Bracket grids (n_kx, n_ky): even and odd radial sizes, up to 16x8.
+BRACKET_GRIDS = ((8, 4), (7, 3), (16, 8))
+
+
+def rel_err(got, want) -> float:
+    """max|got - want| / max|want|, or max|got| when want is all zero."""
+    scale = float(np.max(np.abs(want)))
+    if scale == 0.0:
+        return float(np.max(np.abs(got)))
+    return float(np.max(np.abs(got - want)) / scale)
+
+
+def margin(value, limit, ok) -> float:
+    """Distance from value to limit: positive when the check holds."""
+    distance = abs(limit - value)
+    return distance if ok else -distance
+
+
+def _seeded(case: str, seed: int):
+    shape = make_case(case)
+    return random_state(shape, seed), make_kernel_inputs(shape, seed)
+
+
+def _fields(seed: int):
+    """50 random real 72x72 fields, each with its 37-row half spectrum."""
+    gen = substream(seed, 5)
+    for _ in range(50):
+        field = gen.uniform(-1.0, 1.0, (72, 72))
+        yield field, to_spectrum(field, 72, 72 // 2 + 1)
+
+
+def _spectra(seed: int):
+    """34 random spectrum pairs on each bracket grid, with the grid's plans."""
+    gen = substream(seed, 5)
+    for n_kx, n_ky in BRACKET_GRIDS:
+        plans = bracket_plans(n_kx, n_ky)
+        for _ in range(34):
+            yield random_spectrum(n_kx, n_ky, gen), random_spectrum(n_kx, n_ky, gen), plans
+
+
+def _comm_ratios():
+    """Shared/dedicated-NIC time ratios (alltoall, allreduce) at identical bytes.
+
+    The same 24-rank, 6-node job is priced on both machines from 1 MB to
+    10 GB, four active ranks per node either way, so only the NIC
+    attachment differs.
+    """
+    shared = builtin_topology("perlmutter_like")
+    dedicated = builtin_topology("frontier_like")
+    plan_s = natural_plan(24, 6, shared)
+    plan_d = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
+    for volume in np.logspace(6, 10, 13):
+        yield tuple(
+            collective_time(kind, volume, plan_s, shared) / collective_time(kind, volume, plan_d, dedicated)
+            for kind in ("alltoall", "allreduce")
+        )
+
+
+def padding_minimal(case, seed):
+    """Mismatches among sizes 1..4096 against the smallest smooth size above the dealias minimum."""
+    table = oracles.smooth_numbers(dealias_minimum(4096) + 128)
+    bad = 0
+    for n in range(1, 4097):
+        plan = plan_padded_size(n)
+        n_min = dealias_minimum(n)
+        bad += (plan.n_min, plan.n_padded) != (n_min, table[bisect_left(table, n_min)])
+    return bad, 0, bad == 0
+
+
+def padding_overhead(case, seed):
+    """Worst padded/minimum size ratio over sizes 8..4096."""
+    worst = max(plan.n_padded / plan.n_min for plan in map(plan_padded_size, range(8, 4097)))
+    return worst, 1.25, worst <= 1.25
+
+
+def padding_examples(case, seed):
+    """Failures among five worked examples, the naive scheme's 716 = 2*2*179 included."""
+    results = (
+        plan_padded_size(48).n_padded == 72,
+        plan_padded_size(479).n_padded == 720,
+        naive_padded_size(477) == 716 and factorize(716) == [2, 2, 179],
+        plan_padded_size(477).n_padded == 720,
+        cost_score([2, 2, 2, 3, 3]) == 12,
+    )
+    bad = results.count(False)
+    return bad, 0, bad == 0
+
+
+def factorize_product(case, seed):
+    """Values among 200 random ones below 10^6 whose factors are not primes multiplying to it."""
+    bad = 0
+    for n in map(int, substream(seed, 5).integers(1, 10**6, 200)):
+        factors = factorize(n)
+        not_prime = any(f < 2 or any(f % d == 0 for d in range(2, math.isqrt(f) + 1)) for f in factors)
+        bad += not_prime or math.prod(factors) != n
+    return bad, 0, bad == 0
+
+
+def rng_determinism(case, seed):
+    """Component mean |value| of the state, which must lie strictly inside (0.3, 0.7).
+
+    The state must also regenerate bit for bit and stay within [-1, 1].
+    The limit reported is the nearer end of the interval.
+    """
+    shape = make_case(case)
+    h = random_state(shape, seed)
+    mean_abs = component_mean_abs(h)
+    ok = np.array_equal(h, random_state(shape, seed)) and np.max(np.abs(h.view(float))) <= 1.0
+    limit = 0.3 if mean_abs - 0.3 < 0.7 - mean_abs else 0.7
+    return mean_abs, limit, bool(ok and 0.3 < mean_abs < 0.7)
+
+
+def transform_roundtrip(case, seed):
+    """Worst relative error of to_real(to_spectrum(field)) over 50 fields."""
+    worst = max(rel_err(to_real(spec, 72, 72), field) for field, spec in _fields(seed))
+    return worst, 1e-12, worst <= 1e-12
+
+
+def transform_parseval(case, seed):
+    """Worst relative gap between real-space and spectral power over 50 fields."""
+    weights = np.full(72 // 2 + 1, 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0  # unpaired y-Nyquist row of an even-length transform
+    worst = 0.0
+    for field, spec in _fields(seed):
+        real_power = float(np.mean(field**2))
+        spectral_power = float(weights @ np.sum(np.abs(spec) ** 2, axis=1))
+        worst = max(worst, abs(spectral_power - real_power) / real_power)
+    return worst, 1e-12, worst <= 1e-12
+
+
+def bracket_oracle(case, seed):
+    """Worst relative error of the bracket against direct mode-sum convolution."""
+    worst = max(rel_err(bracket(f, g, *plans), oracles.bracket_convolution_oracle(f, g))
+                for f, g, plans in _spectra(seed))
+    return worst, TOLERANCE["nonlinear"], worst <= TOLERANCE["nonlinear"]
+
+
+def bracket_self_zero(case, seed):
+    """Largest |{f, f}| over the bracket sample; it must vanish."""
+    worst = max(float(np.max(np.abs(bracket(f, f, *plans)))) for f, _, plans in _spectra(seed))
+    return worst, 1e-12, worst <= 1e-12
+
+
+def field_oracle(case, seed):
+    """Relative error of the field reduction against the loop oracle."""
+    h, inputs = _seeded(case, seed)
+    err = rel_err(run_kernel("field", h, inputs), oracles.field_moment_oracle(h, inputs["weights"]))
+    return err, TOLERANCE["field"], err <= TOLERANCE["field"]
+
+
+def stream_variants(case, seed):
+    """Relative error of the optimized stream against the original and the loop oracle."""
+    h, inputs = _seeded(case, seed)
+    optimized = run_kernel("stream", h, inputs)
+    err = max(rel_err(optimized, run_kernel("stream", h, inputs, "original")),
+              rel_err(optimized, oracles.stream_oracle(h, inputs["stencil"])))
+    return err, TOLERANCE["stream"], err <= TOLERANCE["stream"]
+
+
+def shear_variants(case, seed):
+    """Largest |difference| of the optimized shear from the original and the oracle."""
+    h, inputs = _seeded(case, seed)
+    optimized = run_kernel("shear", h, inputs)
+    diff = max(float(np.max(np.abs(optimized - want))) for want in (
+        run_kernel("shear", h, inputs, "original"), oracles.shear_oracle(h, inputs["shifts"])))
+    return diff, TOLERANCE["shear"], diff <= TOLERANCE["shear"]
+
+
+def collision_oracle(case, seed):
+    """Relative error of the collision matvec against the loop oracle."""
+    h, inputs = _seeded(case, seed)
+    err = rel_err(run_kernel("collision", h, inputs), oracles.collision_oracle(h, inputs["matrices"]))
+    return err, TOLERANCE["collision"], err <= TOLERANCE["collision"]
+
+
+def nonlinear_slices(case, seed):
+    """Relative error of the nonlinear kernel against one bracket per velocity slice.
+
+    The limit is tighter than the bracket's oracle tolerance: the batch and
+    the single slice run the same transforms.  Two threads must also give
+    the one-thread result bit for bit.
+    """
+    h, inputs = _seeded(case, seed)
+    got = run_kernel("nonlinear", h, inputs)
+    want = np.empty_like(h)
+    for idx in np.ndindex(h.shape[:3]):
+        want[idx] = bracket(h[idx], inputs["phi"], *inputs["plans"])
+    err = rel_err(got, want)
+    same = np.array_equal(got, run_kernel("nonlinear", h, inputs, threads=2))
+    return err, 1e-13, bool(same and err <= 1e-13)
+
+
+def comm_volumes(case, seed):
+    """Relative error of two per-rank volumes against their closed forms."""
+    vm = VolumeModel(state_bytes=96_000_000_000, field_bytes_base=8_000_000)
+    v1 = alltoall_volume(vm, CommPlan(8, 3, "dim1_spread", spread_nodes=2))
+    v2 = allreduce_volume(vm, CommPlan(4, 6, "dim1_intra_node"))
+    err = max(abs(v1 - 3.5e9) / 3.5e9, abs(v2 - 1e7 / 3) / (1e7 / 3))
+    return err, 1e-12, err <= 1e-12
+
+
+def comm_alltoall_parity(case, seed):
+    """Largest |shared/dedicated alltoall time ratio - 1|: intra-node traffic sees no NIC."""
+    worst = max(abs(r_a2a - 1.0) for r_a2a, _ in _comm_ratios())
+    return worst, 0.01, worst <= 0.01
+
+
+def comm_nic_ordering(case, seed):
+    """Smallest excess of the allreduce ratio over the alltoall ratio; must be above 0."""
+    least = min(r_ar - r_a2a for r_a2a, r_ar in _comm_ratios())
+    return least, 0.0, least > 0.0
+
+
+def comm_planner_intra(case, seed):
+    """Nodes one dim1 group of the sh03b plan spans at 24 ranks on 6 nodes; must be 1."""
+    vm = VolumeModel.from_shape(make_case("sh03b"))
+    plan = plan_decomposition(vm, 24, 6, builtin_topology("perlmutter_like"))
+    return plan.spread_nodes, 1, plan.placement == "dim1_intra_node"
+
+
+def kernel_checksums(case, seed):
+    """Kernels whose timed-run checksum differs from a direct run's."""
+    shape = make_case(case)
+    h, inputs = _seeded(case, seed)
+    bad = 0
+    for kernel in KERNEL_NAMES:
+        timed = time_kernel(kernel, "optimized", shape, 3, seed).checksum
+        bad += timed != checksum(run_kernel(kernel, h, inputs))
+    return bad, 0, bad == 0
+
+
+#: Every check by name, in report order.
+CHECKS = {
+    check.__name__: check
+    for check in (
+        padding_minimal,
+        padding_overhead,
+        padding_examples,
+        factorize_product,
+        rng_determinism,
+        transform_roundtrip,
+        transform_parseval,
+        bracket_oracle,
+        bracket_self_zero,
+        field_oracle,
+        stream_variants,
+        shear_variants,
+        collision_oracle,
+        nonlinear_slices,
+        comm_volumes,
+        comm_alltoall_parity,
+        comm_nic_ordering,
+        comm_planner_intra,
+        kernel_checksums,
+    )
+}

@@ -20,55 +20,23 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import platform
 import statistics
 import sys
 import tempfile
 import time
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
-from . import oracles
-from .commsim import (
-    CommPlan,
-    VolumeModel,
-    allreduce_volume,
-    alltoall_volume,
-    builtin_topology,
-    collective_time,
-    load_topology,
-    natural_plan,
-    plan_decomposition,
-    predict_report,
-)
-from .grid import component_mean_abs, make_case, case_names, random_state, substream
-from .kernels import (
-    KERNEL_NAMES,
-    VARIANTS,
-    checksum,
-    make_kernel_inputs,
-    nonlinear_kernel,
-    run_kernel,
-    shear_kernel,
-    stream_kernel,
-    time_kernel,
-)
-from .padding import (
-    DEFAULT_PRIMES,
-    cost_score,
-    dealias_minimum,
-    factorize,
-    naive_padded_size,
-    plan_padded_size,
-)
-from .spectral import bracket, bracket_plans, random_spectrum, to_real, to_spectrum
+from . import __version__, checks
+from .commsim import VolumeModel, builtin_topology, load_topology, plan_decomposition, predict_report
+from .grid import make_case, case_names, substream
+from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, time_kernel
+from .padding import DEFAULT_PRIMES, factorize, plan_padded_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -339,11 +307,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if cmd == "bench":
         if args.reps < 3:
             raise ConfigError(f"--reps must be >= 3, got {args.reps}")
+        kernels = _parse_name_list(args.kernels, "kernel", KERNEL_NAMES)
+        variants = _parse_name_list(args.variants, "variant", VARIANTS)
+        if not any(v in KERNEL_VARIANTS[k] for k in kernels for v in variants):
+            raise ConfigError(f"no kernel in {kernels} has a variant in {variants}; "
+                              "only stream and shear have 'original'")
         return RunConfig(
             command=cmd,
             case=_check_case(args.case),
-            kernels=_parse_name_list(args.kernels, "kernel", KERNEL_NAMES),
-            variants=_parse_name_list(args.variants, "variant", VARIANTS),
+            kernels=kernels,
+            variants=variants,
             reps=args.reps,
             seed=_check_seed(args.seed),
             threads=_resolve_threads(args.threads),
@@ -423,7 +396,7 @@ def _run_bench(config: RunConfig) -> Report:
     shape = make_case(config.case)
     rows = []
     for kernel in config.kernels:
-        for variant in config.variants:
+        for variant in (v for v in config.variants if v in KERNEL_VARIANTS[kernel]):
             t = time_kernel(kernel, variant, shape, config.reps, config.seed, config.threads)
             rows.append((config.case, kernel, variant, config.reps,
                          t.median_s, t.min_s, t.checksum))
@@ -514,296 +487,22 @@ def _run_compare(config: RunConfig) -> Report:
     return Report(columns, rows, _meta(config, before=config.before, after=config.after))
 
 
-# ---------------------------------------------------------------------------
-# verification battery
-#
-# Every check value is deterministic for a fixed seed; wallclock goes in the
-# separate seconds column so reports from identical runs differ nowhere else.
-
-
-def _smooth_sorted(bound: int, primes=DEFAULT_PRIMES) -> list:
-    values = {1}
-    for p in primes:
-        grown = set()
-        for v in values:
-            w = v
-            while w <= bound:
-                grown.add(w)
-                w *= p
-        values |= grown
-    return sorted(v for v in values if v <= bound)
-
-
-def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    scale = float(np.max(np.abs(want)))
-    if scale == 0.0:
-        return float(np.max(np.abs(got)))
-    return float(np.max(np.abs(got - want)) / scale)
-
-
-def _check_padding_minimal(config: RunConfig):
-    limit = 768
-    table = _smooth_sorted(4 * limit)
-    bad = 0
-    for n in range(1, limit + 1):
-        plan = plan_padded_size(n)
-        want = table[bisect_left(table, dealias_minimum(n))]
-        if plan.n_padded != want:
-            bad += 1
-    return bad == 0, str(bad)
-
-
-def _check_padding_overhead(config: RunConfig):
-    worst = 0.0
-    for n in range(8, 4097):
-        plan = plan_padded_size(n)
-        worst = max(worst, plan.n_padded / plan.n_min)
-    return worst <= 1.25, worst
-
-
-def _check_padding_examples(config: RunConfig):
-    ok = plan_padded_size(48).n_padded == 72
-    ok &= plan_padded_size(479).n_padded == 720
-    naive = naive_padded_size(477)
-    ok &= naive == 716 and factorize(716) == [2, 2, 179]
-    ok &= plan_padded_size(477).n_padded == 720
-    ok &= cost_score([2, 2, 2, 3, 3]) == 12
-    return ok, "5 cases"
-
-
-def _check_factorize(config: RunConfig):
-    gen = substream(config.seed, 5)
-    values = gen.integers(1, 10**6, 200)
-    for n in values:
-        n = int(n)
-        factors = factorize(n)
-        if math.prod(factors) != n:
-            return False, str(n)
-        for f in factors:
-            if f < 2 or any(f % d == 0 for d in range(2, int(math.isqrt(f)) + 1)):
-                return False, str(n)
-    return True, "200 values"
-
-
-def _check_rng(config: RunConfig):
-    shape = make_case(config.case)
-    h1 = random_state(shape, config.seed)
-    h2 = random_state(shape, config.seed)
-    if not np.array_equal(h1, h2):
-        return False, "nondeterministic"
-    peak = max(float(np.max(np.abs(h1.real))), float(np.max(np.abs(h1.imag))))
-    if peak > 1.0:
-        return False, peak
-    mean_abs = component_mean_abs(h1)
-    return 0.3 < mean_abs < 0.7, mean_abs
-
-
-def _check_roundtrip(config: RunConfig):
-    n = 72
-    worst = 0.0
-    for k in range(3):
-        gen = substream(config.seed + k, 5)
-        field_in = gen.uniform(-1.0, 1.0, (n, n))
-        spec = to_spectrum(field_in, n, n // 2 + 1)
-        worst = max(worst, _rel_err(to_real(spec, n, n), field_in))
-    return worst <= 1e-12, worst
-
-
-def _check_parseval(config: RunConfig):
-    n = 72
-    worst = 0.0
-    for k in range(3):
-        gen = substream(config.seed + k, 5)
-        field_in = gen.uniform(-1.0, 1.0, (n, n))
-        spec = to_spectrum(field_in, n, n // 2 + 1)
-        weights = np.full(spec.shape[0], 2.0)
-        weights[0] = 1.0
-        weights[-1] = 1.0  # unpaired y-Nyquist row of an even-length transform
-        spectral_power = float(weights @ np.sum(np.abs(spec) ** 2, axis=1))
-        real_power = float(np.mean(field_in**2))
-        worst = max(worst, abs(spectral_power - real_power) / real_power)
-    return worst <= 1e-12, worst
-
-
-def _check_bracket_oracle(config: RunConfig):
-    worst = 0.0
-    for n_kx, n_ky in ((8, 4), (7, 3)):
-        plans = bracket_plans(n_kx, n_ky)
-        for k in range(3):
-            gen = substream(config.seed + k, 5)
-            f = random_spectrum(n_kx, n_ky, gen)
-            g = random_spectrum(n_kx, n_ky, gen)
-            got = bracket(f, g, *plans)
-            want = oracles.bracket_convolution_oracle(f, g)
-            worst = max(worst, _rel_err(got, want))
-    return worst <= 1e-12, worst
-
-
-def _check_bracket_self(config: RunConfig):
-    plans = bracket_plans(8, 4)
-    worst = 0.0
-    for k in range(3):
-        gen = substream(config.seed + k, 5)
-        f = random_spectrum(8, 4, gen)
-        worst = max(worst, float(np.max(np.abs(bracket(f, f, *plans)))))
-    return worst <= 1e-12, worst
-
-
-def _check_field_oracle(config: RunConfig):
-    shape = make_case(config.case)
-    h = random_state(shape, config.seed)
-    inputs = make_kernel_inputs(shape, config.seed)
-    got = run_kernel("field", h, inputs)
-    want = oracles.field_moment_oracle(h, inputs["weights"])
-    err = _rel_err(got, want)
-    return err <= 1e-13, err
-
-
-def _check_stream_variants(config: RunConfig):
-    shape = make_case(config.case)
-    worst = 0.0
-    for k in range(3):
-        h = random_state(shape, config.seed + k)
-        inputs = make_kernel_inputs(shape, config.seed + k)
-        optimized = stream_kernel(h, inputs["stencil"], "optimized")
-        original = stream_kernel(h, inputs["stencil"], "original")
-        worst = max(worst, _rel_err(optimized, original))
-        worst = max(worst, _rel_err(optimized, oracles.stream_oracle(h, inputs["stencil"])))
-    return worst <= 1e-13, worst
-
-
-def _check_shear_variants(config: RunConfig):
-    shape = make_case(config.case)
-    for k in range(3):
-        h = random_state(shape, config.seed + k)
-        inputs = make_kernel_inputs(shape, config.seed + k)
-        optimized = shear_kernel(h, inputs["shifts"], "optimized")
-        if not np.array_equal(optimized, shear_kernel(h, inputs["shifts"], "original")):
-            return False, "variants differ"
-        if not np.array_equal(optimized, oracles.shear_oracle(h, inputs["shifts"])):
-            return False, "oracle differs"
-    return True, "0.0"
-
-
-def _check_collision_oracle(config: RunConfig):
-    shape = make_case(config.case)
-    h = random_state(shape, config.seed)
-    inputs = make_kernel_inputs(shape, config.seed)
-    got = run_kernel("collision", h, inputs)
-    want = oracles.collision_oracle(h, inputs["matrices"])
-    err = _rel_err(got, want)
-    return err <= 1e-12, err
-
-
-def _check_nonlinear_slices(config: RunConfig):
-    shape = make_case(config.case)
-    h = random_state(shape, config.seed)
-    inputs = make_kernel_inputs(shape, config.seed)
-    got = nonlinear_kernel(h, inputs["phi"], inputs["plans"])
-    if not np.array_equal(got, nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=2)):
-        return False, "thread count changed values"
-    want = np.empty_like(h)
-    for s in range(shape.n_species):
-        for e in range(shape.n_energy):
-            for x in range(shape.n_xi):
-                want[s, e, x] = bracket(h[s, e, x], inputs["phi"], *inputs["plans"])
-    err = _rel_err(got, want)
-    return err <= 1e-13, err
-
-
-def _check_comm_volumes(config: RunConfig):
-    vm = VolumeModel(state_bytes=96_000_000_000, field_bytes_base=8_000_000)
-    v1 = alltoall_volume(vm, CommPlan(8, 3, "dim1_spread", spread_nodes=2))
-    v2 = allreduce_volume(vm, CommPlan(4, 6, "dim1_intra_node"))
-    err = max(abs(v1 - 3.5e9) / 3.5e9, abs(v2 - 1e7 / 3) / (1e7 / 3))
-    return err <= 1e-12, err
-
-
-_SWEEP = tuple(float(v) for v in np.logspace(6, 10, 9))
-
-
-def _comm_ratio_pairs():
-    """Shared/dedicated time ratios at identical bytes, 24 ranks on 6 nodes."""
-    shared = builtin_topology("perlmutter_like")
-    dedicated = builtin_topology("frontier_like")
-    plan_s = natural_plan(24, 6, shared)
-    plan_d = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
-    pairs = []
-    for volume in _SWEEP:
-        r_a2a = collective_time("alltoall", volume, plan_s, shared) \
-            / collective_time("alltoall", volume, plan_d, dedicated)
-        r_ar = collective_time("allreduce", volume, plan_s, shared) \
-            / collective_time("allreduce", volume, plan_d, dedicated)
-        pairs.append((r_a2a, r_ar))
-    return pairs
-
-
-def _check_comm_parity(config: RunConfig):
-    worst = max(abs(r_a2a - 1.0) for r_a2a, _ in _comm_ratio_pairs())
-    return worst <= 0.01, worst
-
-
-def _check_comm_ordering(config: RunConfig):
-    margin = min(r_ar - r_a2a for r_a2a, r_ar in _comm_ratio_pairs())
-    return margin > 0.0, margin
-
-
-def _check_comm_planner(config: RunConfig):
-    vm = VolumeModel.from_shape(make_case("sh03b"))
-    plan = plan_decomposition(vm, 24, 6, builtin_topology("perlmutter_like"))
-    return plan.placement == "dim1_intra_node", f"n1={plan.n1} n2={plan.n2}"
-
-
-def _check_kernel_checksums(config: RunConfig):
-    shape = make_case(config.case)
-    for kernel in KERNEL_NAMES:
-        timing = time_kernel(kernel, "optimized", shape, 3, config.seed)
-        h = random_state(shape, config.seed)
-        inputs = make_kernel_inputs(shape, config.seed)
-        if timing.checksum != checksum(run_kernel(kernel, h, inputs, "optimized")):
-            return False, kernel
-        if kernel != "stream":
-            again = time_kernel(kernel, "original", shape, 3, config.seed)
-            if again.checksum != timing.checksum:
-                return False, f"{kernel} variants"
-    return True, f"{len(KERNEL_NAMES)} kernels"
-
-
-_CHECKS = (
-    ("padding_minimal", _check_padding_minimal),
-    ("padding_overhead", _check_padding_overhead),
-    ("padding_examples", _check_padding_examples),
-    ("factorize_product", _check_factorize),
-    ("rng_determinism", _check_rng),
-    ("transform_roundtrip", _check_roundtrip),
-    ("transform_parseval", _check_parseval),
-    ("bracket_oracle", _check_bracket_oracle),
-    ("bracket_self_zero", _check_bracket_self),
-    ("field_oracle", _check_field_oracle),
-    ("stream_variants", _check_stream_variants),
-    ("shear_variants", _check_shear_variants),
-    ("collision_oracle", _check_collision_oracle),
-    ("nonlinear_slices", _check_nonlinear_slices),
-    ("comm_volumes", _check_comm_volumes),
-    ("comm_alltoall_parity", _check_comm_parity),
-    ("comm_nic_ordering", _check_comm_ordering),
-    ("comm_planner_intra", _check_comm_planner),
-    ("kernel_checksums", _check_kernel_checksums),
-)
-
-
 def _run_verify(config: RunConfig) -> tuple:
+    """Run every check in checks.CHECKS; returns (report, failures).
+
+    Wallclock goes in its own column, so the reports of two runs with one
+    case and seed differ nowhere else.
+    """
     rows = []
-    failures = 0
-    for name, func in _CHECKS:
+    for name, check in checks.CHECKS.items():
         start = time.perf_counter()
-        ok, value = func(config)
+        value, limit, ok = check(config.case, config.seed)
         seconds = time.perf_counter() - start
-        failures += 0 if ok else 1
-        rows.append((name, config.case, "pass" if ok else "fail", value, f"{seconds:.6f}"))
-    columns = ("check", "case", "status", "value", "seconds")
+        rows.append((name, config.case, "pass" if ok else "fail", value, limit,
+                     checks.margin(value, limit, ok), f"{seconds:.6f}"))
+    columns = ("check", "case", "status", "value", "limit", "margin", "seconds")
     report = Report(columns, rows, _meta(config, case=config.case, checks=len(rows)))
-    return report, failures
+    return report, sum(row[2] == "fail" for row in rows)
 
 
 # ---------------------------------------------------------------------------

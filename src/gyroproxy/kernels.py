@@ -16,8 +16,8 @@ Where a restructuring optimization exists, both sides of it are kept:
   real theta circulant in one batched real GEMM on the state's float view.
   Same terms in a different association, so agreement is to rounding.
 
-``field``, ``collision`` and ``nonlinear`` have one implementation; both
-variant labels run it so benchmark sweeps stay uniform.
+``field``, ``collision`` and ``nonlinear`` have one implementation, which
+runs as their ``optimized`` variant; they have no ``original``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .spectral import bracket, bracket_plans
 
 KERNEL_NAMES = ("field", "stream", "shear", "collision", "nonlinear")
 VARIANTS = ("original", "optimized")
+#: The variants each kernel runs: both sides of an optimization where one
+#: exists, the single implementation otherwise.
+KERNEL_VARIANTS = {k: VARIANTS if k in ("stream", "shear") else ("optimized",) for k in KERNEL_NAMES}
 
 #: Fourth-order centered first-derivative coefficients, the default theta
 #: stencil; entry i applies at offset i - width//2.
@@ -180,8 +183,15 @@ def make_kernel_inputs(shape: GridShape, seed: int) -> dict:
 
 
 def run_kernel(kernel: str, h: np.ndarray, inputs: dict, variant: str = "optimized", threads: int = 1) -> np.ndarray:
-    """Dispatch one kernel by name on a prepared state and input set."""
-    _check_variant(variant)
+    """Dispatch one kernel by name on a prepared state and input set.
+
+    Raises ValueError for a kernel or variant that does not exist,
+    ``original`` of a single-implementation kernel included.
+    """
+    if kernel not in KERNEL_VARIANTS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
+    if variant not in KERNEL_VARIANTS[kernel]:
+        raise ValueError(f"{kernel} has no variant {variant!r}; expected one of {KERNEL_VARIANTS[kernel]}")
     if kernel == "field":
         return field_kernel(h, inputs["weights"])
     if kernel == "stream":
@@ -190,9 +200,7 @@ def run_kernel(kernel: str, h: np.ndarray, inputs: dict, variant: str = "optimiz
         return shear_kernel(h, inputs["shifts"], variant)
     if kernel == "collision":
         return collision_kernel(h, inputs["matrices"])
-    if kernel == "nonlinear":
-        return nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads)
-    raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
+    return nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads)
 
 
 def checksum(values: np.ndarray) -> str:

@@ -11,7 +11,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .padding import DEFAULT_PRIMES
 from .spectral import hermitian_ky0, kx_derivative_values, kx_values
+
+
+def smooth_numbers(bound, primes=DEFAULT_PRIMES):
+    """Every integer <= bound whose factors all lie in the prime set.
+
+    Built by repeated multiplication, no factorization involved, so it is
+    an independent oracle for the planner.
+    """
+    values = {1}
+    for p in primes:
+        grown = set()
+        for v in values:
+            while v <= bound:
+                grown.add(v)
+                v *= p
+        values |= grown
+    return sorted(v for v in values if v <= bound)
 
 
 def field_moment_oracle(h: np.ndarray, weights: np.ndarray) -> np.ndarray:

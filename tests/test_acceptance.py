@@ -1,49 +1,40 @@
 """End-to-end acceptance battery.
 
-Each test prints one PASS/FAIL line with the numbers it gated on, so a
-bare ``pytest -s tests/test_acceptance.py`` reads as a checklist.  The
+The correctness properties live in ``gyroproxy/checks.py``, where
+``gyroproxy verify`` runs them too; here every check runs on sh03b-desk,
+the kernel-oracle checks at 20 seeds.  Each test prints one PASS/FAIL
+line with the numbers it gated on, so a bare
+``pytest -s tests/test_acceptance.py`` reads as a checklist.  The
 thresholds are the contract for this package; loosening them here is the
 same as shipping a regression.
 """
 
-import bisect
+import csv
+import importlib.util
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from gyroproxy.commsim import (
-    CommPlan,
-    VolumeModel,
-    builtin_topology,
-    collective_time,
-    natural_plan,
-    plan_decomposition,
-)
-from gyroproxy.grid import make_case, substream
-from gyroproxy.kernels import (
-    DEFAULT_STENCIL,
-    collision_kernel,
-    field_kernel,
-    make_kernel_inputs,
-    random_state,
-    run_kernel,
-    shear_kernel,
-    stream_kernel,
-)
-from gyroproxy.oracles import (
-    bracket_convolution_oracle,
-    collision_oracle,
-    field_moment_oracle,
-)
-from gyroproxy.padding import dealias_minimum, plan_padded_size
-from gyroproxy.spectral import bracket, bracket_plans, random_spectrum, to_real, to_spectrum
+from gyroproxy import checks
+from gyroproxy.grid import make_case, random_state
+from gyroproxy.kernels import make_kernel_inputs, run_kernel
 from gyroproxy.cli import RunConfig, run
 
 DATA = Path(__file__).parent / "data"
+
+#: The checks that draw one random state per call, swept over 20 seeds.
+KERNEL_ORACLES = ("field_oracle", "stream_variants", "shear_variants", "collision_oracle")
+
+#: The other checks run once, at the largest seed verify accepts: no check
+#: may derive a seed beyond it.
+TOP_SEED = 2**64 - 1
+
+#: Wallclock gates (seconds) on the checks whose cost grows with their sample.
+ELAPSED_LIMIT_S = {"padding_minimal": 10.0, "bracket_oracle": 60.0}
 
 
 def report(name, ok, detail):
@@ -51,39 +42,29 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def rel_err(got, want):
-    scale = np.max(np.abs(want))
-    if scale == 0:
-        return float(np.max(np.abs(got)))
-    return float(np.max(np.abs(got - want)) / scale)
-
-
-def smooth_table(bound, primes=(2, 3, 5, 7)):
-    values = {1}
-    for p in primes:
-        grown = set()
-        for v in values:
-            while v <= bound:
-                grown.add(v)
-                v *= p
-        values |= grown
-    return sorted(v for v in values if v <= bound)
-
-
-def test_padding_minimality_exhaustive():
-    """Planner output is smooth, sufficient, and minimal for every size up to 4096."""
+@pytest.mark.parametrize("name, seed", [
+    (name, seed)
+    for name in checks.CHECKS
+    for seed in (range(20) if name in KERNEL_ORACLES else (TOP_SEED,))
+])
+def test_check(name, seed):
     start = time.perf_counter()
-    table = smooth_table(dealias_minimum(4096) + 128)
-    bad = []
-    for n in range(1, 4097):
-        plan = plan_padded_size(n)
-        want = table[bisect.bisect_left(table, plan.n_min)]
-        if plan.n_padded != want or plan.n_min != dealias_minimum(n):
-            bad.append(n)
+    value, limit, ok = checks.CHECKS[name]("sh03b-desk", seed)
     elapsed = time.perf_counter() - start
-    ok = not bad and elapsed < 10.0
-    report("padding minimality", ok,
-           f"4096 sizes exhaustive, {len(bad)} mismatches, {elapsed:.2f}s (limit 10s)")
+    budget = ELAPSED_LIMIT_S.get(name)
+    timing = f"{elapsed:.2f}s" + (f" (limit {budget}s)" if budget else "")
+    report(name, ok and (budget is None or elapsed < budget),
+           f"seed {seed}: value {value!r}, limit {limit!r}, {timing}")
+
+
+def test_perfbench_tolerances_match_checks(monkeypatch):
+    # perfbench keeps its own copy of the kernel tolerances; hold it to this one
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.TOLERANCE == checks.TOLERANCE
 
 
 def test_prime_size_elimination():
@@ -98,58 +79,6 @@ def test_prime_size_elimination():
     report("prime-size elimination", ok,
            f"median 720 = {t720:.2e}s <= median 719 = {t719:.2e}s, "
            f"factors {rows[719][1]} vs {rows[720][1]}")
-
-
-def test_bracket_against_quadratic_oracle():
-    """100+ random spectra on grids up to 16x8 match direct convolution to 1e-12."""
-    start = time.perf_counter()
-    grids = [(8, 4), (7, 3), (16, 8)]
-    worst = 0.0
-    worst_self = 0.0
-    seeds = 0
-    for n_kx, n_ky in grids:
-        plans = bracket_plans(n_kx, n_ky)
-        for seed in range(34):
-            gen = substream(1000 + seed, 0)
-            f = random_spectrum(n_kx, n_ky, gen)
-            g = random_spectrum(n_kx, n_ky, gen)
-            worst = max(worst, rel_err(bracket(f, g, *plans),
-                                       bracket_convolution_oracle(f, g)))
-            worst_self = max(worst_self, float(np.max(np.abs(bracket(f, f, *plans)))))
-            seeds += 1
-    elapsed = time.perf_counter() - start
-    ok = seeds >= 100 and worst <= 1e-12 and worst_self <= 1e-12 and elapsed < 60.0
-    report("bracket vs quadratic oracle", ok,
-           f"{seeds} seeds, worst rel err {worst:.2e} (limit 1e-12), "
-           f"worst self-bracket {worst_self:.2e}, {elapsed:.1f}s (limit 60s)")
-
-
-def test_variant_equivalence():
-    """Across 20 seeds on sh03b-desk the paired and single-path kernels agree."""
-    shape = make_case("sh03b-desk")
-    worst_stream = 0.0
-    shear_exact = True
-    worst_field = 0.0
-    worst_coll = 0.0
-    for seed in range(20):
-        h = random_state(shape, seed)
-        inputs = make_kernel_inputs(shape, seed)
-        a = stream_kernel(h, DEFAULT_STENCIL, "original")
-        b = stream_kernel(h, DEFAULT_STENCIL, "optimized")
-        worst_stream = max(worst_stream, rel_err(b, a))
-        shear_exact &= bool(np.array_equal(
-            shear_kernel(h, inputs["shifts"], "original"),
-            shear_kernel(h, inputs["shifts"], "optimized")))
-        worst_field = max(worst_field, rel_err(
-            field_kernel(h, inputs["weights"]),
-            field_moment_oracle(h, inputs["weights"])))
-        worst_coll = max(worst_coll, rel_err(
-            collision_kernel(h, inputs["matrices"]),
-            collision_oracle(h, inputs["matrices"])))
-    ok = worst_stream <= 1e-13 and shear_exact and worst_field <= 1e-13 and worst_coll <= 1e-12
-    report("variant equivalence", ok,
-           f"20 seeds: stream {worst_stream:.2e} (<=1e-13), shear exact={shear_exact}, "
-           f"field {worst_field:.2e} (<=1e-13), collision {worst_coll:.2e} (<=1e-12)")
 
 
 def interleaved_medians(kernel, h, inputs, reps):
@@ -196,83 +125,14 @@ def test_optimization_direction():
     report("optimization direction", ok, "; ".join(lines))
 
 
-def _controlled_plans():
-    # same 24-rank/6-node job priced on both machines; four active ranks
-    # per node either way, so only the NIC attachment differs
-    perl = builtin_topology("perlmutter_like")
-    front = builtin_topology("frontier_like")
-    plan_s = natural_plan(24, 6, perl)
-    plan_d = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
-    return perl, front, plan_s, plan_d
+def test_verify_report_is_deterministic(verify_outcome, verify_main):
+    """The run() and main() verify runs with one seed differ only in the timing column."""
+    def rows(path):
+        with open(path, newline="") as fh:
+            next(fh)  # metadata line
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(fh)]
 
-
-def test_comm_intra_node_alltoall_parity():
-    perl, front, plan_s, plan_d = _controlled_plans()
-    worst = 0.0
-    for v in np.logspace(6, 10, 13):
-        r = collective_time("alltoall", v, plan_s, perl) \
-            / collective_time("alltoall", v, plan_d, front)
-        worst = max(worst, abs(r - 1.0))
-    ok = worst <= 0.01
-    report("intra-node alltoall parity", ok,
-           f"max |ratio-1| = {worst:.2e} over 1MB..10GB (limit 0.01)")
-
-
-def test_comm_shared_bus_penalizes_allreduce_more():
-    perl, front, plan_s, plan_d = _controlled_plans()
-    margin = np.inf
-    for v in np.logspace(6, 10, 13):
-        r_a2a = collective_time("alltoall", v, plan_s, perl) \
-            / collective_time("alltoall", v, plan_d, front)
-        r_ar = collective_time("allreduce", v, plan_s, perl) \
-            / collective_time("allreduce", v, plan_d, front)
-        margin = min(margin, r_ar - r_a2a)
-    ok = margin > 0.0
-    report("shared bus hits allreduce harder", ok,
-           f"min(allreduce ratio - alltoall ratio) = {margin:.3f} over 1MB..10GB")
-
-
-def test_comm_planner_keeps_transpose_intra_node():
-    perl = builtin_topology("perlmutter_like")
-    vm = VolumeModel.from_shape(make_case("sh03b"))
-    plan = plan_decomposition(vm, 24, 6, perl)
-    ok = plan.placement == "dim1_intra_node"
-    report("planner placement", ok,
-           f"sh03b at 24 ranks / 6 nodes -> n1={plan.n1} n2={plan.n2} {plan.placement}")
-
-
-def test_roundtrip_and_parseval():
-    """50+ random 72x72 fields: transform round trip and Parseval to 1e-12."""
-    n = 72
-    n_ky = n // 2 + 1
-    weights = np.full(n_ky, 2.0)
-    weights[0] = weights[-1] = 1.0
-    worst_rt = 0.0
-    worst_pv = 0.0
-    for seed in range(50):
-        field = substream(2000 + seed, 0).uniform(-1.0, 1.0, (n, n))
-        spec = to_spectrum(field, n, n_ky)
-        worst_rt = max(worst_rt, rel_err(to_real(spec, n, n), field))
-        lhs = float(np.mean(field**2))
-        rhs = float(np.sum(weights[:, None] * np.abs(spec) ** 2))
-        worst_pv = max(worst_pv, abs(lhs - rhs) / abs(lhs))
-    ok = worst_rt <= 1e-12 and worst_pv <= 1e-12
-    report("round trip and Parseval", ok,
-           f"50 seeds on 72x72: roundtrip {worst_rt:.2e}, Parseval {worst_pv:.2e} "
-           f"(limits 1e-12)")
-
-
-def test_verify_report_is_deterministic():
-    """Two verify runs with one seed differ only in the timing column."""
-    def strip_timing(report_obj):
-        drop = report_obj.columns.index("seconds")
-        return [tuple(v for i, v in enumerate(row) if i != drop)
-                for row in report_obj.rows]
-
-    config = RunConfig(command="verify", case="sh03b-desk", seed=7)
-    rep_a, code_a = run(config)
-    rep_b, code_b = run(config)
-    same = strip_timing(rep_a) == strip_timing(rep_b)
-    ok = same and code_a == code_b == 0
+    same = rows(verify_outcome.out) == rows(verify_main.out)
+    ok = same and verify_outcome.code == verify_main.code == 0
     report("verify determinism", ok,
-           f"exit codes {code_a}/{code_b}, non-timing columns identical: {same}")
+           f"exit codes {verify_outcome.code}/{verify_main.code}, non-timing columns identical: {same}")

@@ -15,11 +15,9 @@ from gyroproxy.cli import (
     EXIT_OK,
     ConfigError,
     Report,
-    RunConfig,
     build_parser,
     config_from_args,
     main,
-    run,
     summarize,
 )
 
@@ -85,6 +83,7 @@ def test_plan_padding_args_roundtrip():
     ["bench", "--case", "sh03b-desk", "--kernels", "field,warp"],
     ["bench", "--case", "sh03b-desk", "--kernels", "field,field"],
     ["bench", "--case", "sh03b-desk", "--variants", "debug"],
+    ["bench", "--case", "sh03b-desk", "--kernels", "field,collision", "--variants", "original"],
     ["bench", "--case", "sh03b-desk", "--seed", "-1"],
     ["bench", "--case", "sh03b-desk", "--threads", "0"],
     ["verify", "--case", "bogus"],
@@ -238,8 +237,8 @@ def test_compare_rejects_mismatched_coverage(tmp_path, capsys):
     after = tmp_path / "after.csv"
     main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
           "original", "--reps", "3", "--out", str(before)])
-    main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--variants",
-          "original", "--reps", "3", "--out", str(after)])
+    main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--reps", "3",
+          "--out", str(after)])
     capsys.readouterr()
     code = main(["compare", "--before", str(before), "--after", str(after)])
     assert code == EXIT_CONFIG
@@ -247,9 +246,9 @@ def test_compare_rejects_mismatched_coverage(tmp_path, capsys):
 
 
 def test_compare_pairs_two_variant_reports_by_variant(tmp_path, capsys):
-    # the default bench run writes an original and an optimized row
+    # the default variants: both for shear, field's one optimized row
     bench = tmp_path / "both.csv"
-    main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--reps", "3",
+    main(["bench", "--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3",
           "--out", str(bench)])
     capsys.readouterr()
     out = tmp_path / "cmp.csv"
@@ -257,7 +256,7 @@ def test_compare_pairs_two_variant_reports_by_variant(tmp_path, capsys):
     assert code == EXIT_OK
     _, rows = read_report(out)
     assert [(r["kernel"], r["variant"]) for r in rows] == [
-        ("shear", "optimized"), ("shear", "original"), ("overall", "")]
+        ("field", "optimized"), ("shear", "optimized"), ("shear", "original"), ("overall", "")]
     assert all(float(r["ratio"]) == 1.0 for r in rows)
 
 
@@ -302,14 +301,15 @@ def test_comm_estimate_records_chosen_plan(tmp_path, capsys):
 
 
 # command -> (arguments, columns whose every cell is a number); "BENCH"
-# stands for a single-variant bench report made first
+# stands for a single-variant bench report made first, and verify's
+# report is the one the verify_main fixture wrote
 NUMERIC_COLUMNS = {
     "plan-padding": (["--n", "48,479"], ("n_logical", "n_min", "n_padded", "score")),
     "fft-bench": (["--sizes", "30,32", "--batch", "4", "--reps", "3"],
                   ("size", "median_seconds", "min_seconds")),
     "bench": (["--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3"],
               ("reps", "median_s", "min_s")),
-    "verify": ([], ("seconds",)),
+    "verify": ([], ("value", "limit", "margin", "seconds")),
     "comm-estimate": (["--case", "sh03b", "--topo", "perlmutter_like",
                        "--ranks", "24", "--nodes", "6"], ("bytes", "seconds")),
     "compare": (["--before", "BENCH", "--after", "BENCH"], ("before_s", "after_s", "ratio")),
@@ -317,12 +317,8 @@ NUMERIC_COLUMNS = {
 
 
 @pytest.mark.parametrize("command", list(NUMERIC_COLUMNS))
-def test_report_cells_are_plain_numbers(command, tmp_path):
-    """Numeric cells parse with float(); no cell holds a numpy repr.
-
-    verify's value column mixes numbers with text such as "5 cases", so
-    it is held only to the second rule.
-    """
+def test_report_cells_are_plain_numbers(command, tmp_path, request):
+    """Numeric cells parse with float(); no cell holds a numpy repr."""
     args, numeric = NUMERIC_COLUMNS[command]
     bench = tmp_path / "bench.csv"
     if "BENCH" in args:
@@ -330,7 +326,10 @@ def test_report_cells_are_plain_numbers(command, tmp_path):
                      "optimized", "--reps", "3", "--out", str(bench)]) == EXIT_OK
     args = [str(bench) if a == "BENCH" else a for a in args]
     out = tmp_path / "report.csv"
-    assert main([command, *args, "--out", str(out)]) == EXIT_OK
+    if command == "verify":
+        out = request.getfixturevalue("verify_main").out
+    else:
+        assert main([command, *args, "--out", str(out)]) == EXIT_OK
     _, rows = read_report(out)
     assert rows
     for row in rows:
@@ -374,37 +373,29 @@ def test_comm_estimate_missing_topology_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# verify battery (one full run, reused across assertions)
-
-
-@pytest.fixture(scope="module")
-def verify_outcome(tmp_path_factory):
-    out = tmp_path_factory.mktemp("verify") / "verify.csv"
-    config = RunConfig(command="verify", case="sh03b-desk", seed=1234, out=str(out))
-    report, code = run(config)
-    report.write(str(out))
-    return report, code, out
+# verify battery (the session's runs, from conftest.py)
 
 
 def test_verify_all_checks_pass(verify_outcome):
-    report, code, _ = verify_outcome
-    assert code == EXIT_OK
-    assert all(row[2] == "pass" for row in report.rows)
+    assert verify_outcome.code == EXIT_OK
+    assert all(row[2] == "pass" for row in verify_outcome.report.rows)
 
 
-def test_verify_main_prints_summary(verify_outcome, capsys):
-    report, _, _ = verify_outcome
-    assert main(["verify", "--case", "sh03b-desk"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert f"PASS ({len(report.rows)}/{len(report.rows)} checks)" in out
+def test_verify_main_prints_summary(verify_main):
+    assert verify_main.code == EXIT_OK
+    assert "PASS (19/19 checks)" in verify_main.stdout
 
 
 def test_verify_report_schema(verify_outcome):
-    report, _, out = verify_outcome
-    assert report.columns == ("check", "case", "status", "value", "seconds")
-    _, rows = read_report(out)
-    names = [r["check"] for r in rows]
-    assert len(names) == len(set(names))
-    for probe in ("padding_minimal", "transform_roundtrip", "bracket_oracle",
-                  "stream_variants", "comm_nic_ordering", "kernel_checksums"):
-        assert probe in names
+    report = verify_outcome.report
+    assert report.columns == ("check", "case", "status", "value", "limit", "margin", "seconds")
+    _, rows = read_report(verify_outcome.out)
+    assert [r["check"] for r in rows] == [
+        "padding_minimal", "padding_overhead", "padding_examples", "factorize_product",
+        "rng_determinism", "transform_roundtrip", "transform_parseval", "bracket_oracle",
+        "bracket_self_zero", "field_oracle", "stream_variants", "shear_variants",
+        "collision_oracle", "nonlinear_slices", "comm_volumes", "comm_alltoall_parity",
+        "comm_nic_ordering", "comm_planner_intra", "kernel_checksums",
+    ]
+    # a passing check keeps a nonnegative distance to its limit
+    assert all(float(r["margin"]) >= 0.0 for r in rows)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gyroproxy.oracles import smooth_numbers
 from gyroproxy.padding import (
     DEFAULT_PRIMES,
     PaddedPlan,
@@ -12,23 +13,6 @@ from gyroproxy.padding import (
     naive_padded_size,
     plan_padded_size,
 )
-
-
-def smooth_numbers(bound, primes=DEFAULT_PRIMES):
-    """Every integer <= bound whose factors all lie in the prime set.
-
-    Built by repeated multiplication, no factorization involved, so it is
-    an independent oracle for the planner.
-    """
-    values = {1}
-    for p in primes:
-        grown = set()
-        for v in values:
-            while v <= bound:
-                grown.add(v)
-                v *= p
-        values |= grown
-    return sorted(v for v in values if v <= bound)
 
 
 @pytest.mark.parametrize("n, factors", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gyroproxy import spectral
+from gyroproxy.checks import rel_err
 from gyroproxy.grid import substream
 from gyroproxy.oracles import bracket_convolution_oracle, dft_oracle_2d, idft_oracle_2d
 from gyroproxy.spectral import (
@@ -17,13 +18,6 @@ from gyroproxy.spectral import (
     to_real,
     to_spectrum,
 )
-
-
-def rel_err(got, want):
-    scale = np.max(np.abs(want))
-    if scale == 0:
-        return np.max(np.abs(got))
-    return np.max(np.abs(got - want)) / scale
 
 
 def test_kx_values_wrap_order():
