@@ -92,7 +92,7 @@ def _comm_ratios():
     shared = builtin_topology("perlmutter_like")
     dedicated = builtin_topology("frontier_like")
     plan_s = natural_plan(24, 6, shared)
-    plan_d = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
+    plan_d = CommPlan(4, 6, ranks_per_node=4)
     for volume in np.logspace(6, 10, 13):
         yield tuple(
             collective_time(kind, volume, plan_s, shared) / collective_time(kind, volume, plan_d, dedicated)
@@ -238,8 +238,8 @@ def nonlinear_slices(case, seed):
 def comm_volumes(case, seed):
     """Relative error of two per-rank volumes against their closed forms."""
     vm = VolumeModel(state_bytes=96_000_000_000, field_bytes_base=8_000_000)
-    v1 = alltoall_volume(vm, CommPlan(8, 3, "dim1_spread", spread_nodes=2))
-    v2 = allreduce_volume(vm, CommPlan(4, 6, "dim1_intra_node"))
+    v1 = alltoall_volume(vm, CommPlan(8, 3, spread_nodes=2))
+    v2 = allreduce_volume(vm, CommPlan(4, 6))
     err = max(abs(v1 - 3.5e9) / 3.5e9, abs(v2 - 1e7 / 3) / (1e7 / 3))
     return err, 1e-12, err <= 1e-12
 

@@ -49,9 +49,6 @@ exit codes:
   2  invalid configuration or arguments
   3  verification failure
   4  I/O failure
-
-GYROPROXY_THREADS sets the worker count for batched spectral work;
-a --threads flag takes precedence over the environment.
 """
 
 
@@ -68,7 +65,7 @@ class RunConfig:
     kernels: tuple = ()
     variants: tuple = ()
     reps: int = 0
-    seed: int = 1234
+    seed: int | None = None
     out: str | None = None
     topo: str | None = None
     topo_file: str | None = None
@@ -144,8 +141,11 @@ def _meta(config: RunConfig, **extra) -> dict:
         "seed": config.seed,
         "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     }
+    if config.seed is None:
+        del meta["seed"]
     meta.update(extra)
     meta["host"] = host
+    meta["cores"] = os.cpu_count()
     return meta
 
 
@@ -185,22 +185,6 @@ def _parse_name_list(text: str, what: str, allowed: tuple) -> tuple:
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate entries in {what}: {text!r}")
     return names
-
-
-def _resolve_threads(flag) -> int:
-    if flag is not None:
-        value = flag
-    else:
-        env = os.environ.get("GYROPROXY_THREADS")
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"GYROPROXY_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _check_case(name: str) -> str:
@@ -248,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=",".join(VARIANTS))
     p.add_argument("--reps", type=int, default=5, help="timed repetitions (default 5, min 3)")
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--markdown", action="store_true")
 
@@ -307,6 +291,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if cmd == "bench":
         if args.reps < 3:
             raise ConfigError(f"--reps must be >= 3, got {args.reps}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         kernels = _parse_name_list(args.kernels, "kernel", KERNEL_NAMES)
         variants = _parse_name_list(args.variants, "variant", VARIANTS)
         if not any(v in KERNEL_VARIANTS[k] for k in kernels for v in variants):
@@ -319,7 +305,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             variants=variants,
             reps=args.reps,
             seed=_check_seed(args.seed),
-            threads=_resolve_threads(args.threads),
+            threads=args.threads,
             out=args.out,
             markdown=args.markdown,
         )

@@ -4,17 +4,17 @@ The distributed solve exchanges data along two orthogonal rank-grid
 dimensions: an all-to-all transpose over groups of size n1 and an
 all-reduce over groups of size n2, with n1 * n2 ranks in total.  This
 module predicts per-step communication seconds for such a split on a
-parameterized machine, and searches the (n1, n2, placement) space for
-the cheapest plan.  Everything is closed-form; no traffic is simulated.
+parameterized machine, and searches the (n1, n2, spread_nodes) space for
+the cheapest plan, breaking ties by larger n1, then fewer spread nodes.
+Everything is closed-form; no traffic is simulated.
 
 Cost model (bandwidth-latency style, fixed here since no standard exists
 for this level of abstraction):
 
-* Ranks are laid out in blocks: dim1 groups are packed onto one node
-  (``dim1_intra_node``) or striped across ``spread_nodes`` nodes
-  (``dim1_spread``); dim2 then stacks groups onto the remaining slots.
-  GPUs are assigned round-robin within a node, so two ranks can share a
-  physical GPU when processes_per_gpu > 1.
+* Ranks are laid out in blocks by the rule ``_layout`` states: each dim1
+  group is striped across ``spread_nodes`` nodes (one is intra-node),
+  dim2 stacks groups onto the remaining slots, and GPUs go round-robin
+  within a node, so two ranks share a GPU when processes_per_gpu > 1.
 * Peer traffic is split exactly, by counting pairs under that layout,
   into same-GPU (free, device-local), same-node (intra fabric), and
   cross-node shares.
@@ -41,7 +41,6 @@ import numpy as np
 from .grid import GridShape
 
 NIC_LAYOUTS = ("shared_bus", "per_gpu")
-PLACEMENTS = ("dim1_intra_node", "dim1_spread")
 GB = 1e9
 
 
@@ -159,7 +158,7 @@ def load_topology(path) -> MachineTopology:
 
 @dataclass(frozen=True)
 class CommPlan:
-    """An n1 x n2 rank-grid split with its placement policy.
+    """An n1 x n2 rank-grid split, each dim1 group over spread_nodes nodes.
 
     ranks_per_node is the occupancy the plan was laid out for (active
     ranks per node); when None it defaults at evaluation time to filling
@@ -168,25 +167,25 @@ class CommPlan:
 
     n1: int
     n2: int
-    placement: str
     spread_nodes: int = 1
     ranks_per_node: int | None = None
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("group sizes must be >= 1")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.placement == "dim1_intra_node" and self.spread_nodes != 1:
-            raise ValueError("dim1_intra_node implies spread_nodes == 1")
-        if self.placement == "dim1_spread" and self.spread_nodes < 2:
-            raise ValueError("dim1_spread requires spread_nodes >= 2")
+        if self.spread_nodes < 1:
+            raise ValueError("spread_nodes must be >= 1")
         if self.ranks_per_node is not None and self.ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1 when given")
 
     @property
     def total_ranks(self) -> int:
         return self.n1 * self.n2
+
+    @property
+    def placement(self) -> str:
+        """``dim1_intra_node`` when each dim1 group sits on one node, else ``dim1_spread``."""
+        return "dim1_intra_node" if self.spread_nodes == 1 else "dim1_spread"
 
 
 @dataclass(frozen=True)
@@ -228,70 +227,53 @@ def allreduce_volume(vm: VolumeModel, plan: CommPlan) -> float:
     return vm.field_bytes_base * plan.n2 / plan.total_ranks * 2 * (plan.n2 - 1) / plan.n2
 
 
-@dataclass(frozen=True)
-class _Layout:
-    u: int        # active ranks per node
-    k: int        # nodes each dim1 group is striped across
-    c1: int       # dim1 ranks per node within a group
-    q: int        # dim1 groups stacked per node band
+def _layout(plan: CommPlan, topo: MachineTopology) -> tuple[int, int, int]:
+    """The block layout, as (u, c1, q); the one place it is stated.
 
-
-def _layout(plan: CommPlan, topo: MachineTopology) -> _Layout:
-    total = plan.total_ranks
-    u = plan.ranks_per_node if plan.ranks_per_node is not None else min(total, topo.ranks_per_node)
+    u ranks are active per node, each dim1 group takes c1 = ceil(n1/k)
+    slots on each of its k = spread_nodes nodes, and q = u // c1 groups
+    share a band of k nodes.  Rank (i, j) of the n1 x n2 grid sits on
+    node (j//q)*k + i//c1, slot (j%q)*c1 + i%c1, GPU slot % gpus_per_node.
+    """
+    u = plan.ranks_per_node or min(plan.total_ranks, topo.ranks_per_node)
     if u > topo.ranks_per_node:
         raise ValueError(f"{u} ranks per node exceeds node capacity {topo.ranks_per_node}")
-    k = plan.spread_nodes
-    c1 = -(-plan.n1 // k)
+    c1 = -(-plan.n1 // plan.spread_nodes)
     q = u // c1
     if q < 1:
-        raise ValueError(
-            f"dim1 group of {plan.n1} over {k} node(s) needs {c1} slots per node "
-            f"but only {u} are active"
-        )
-    return _Layout(u=u, k=k, c1=c1, q=q)
+        raise ValueError(f"dim1 group of {plan.n1} over {plan.spread_nodes} node(s) needs {c1} slots "
+                         f"per node but only {u} are active")
+    return u, c1, q
 
 
-def _pair_class_fractions(plan: CommPlan, topo: MachineTopology, kind: str):
+def _pair_class_fractions(kind: str, plan: CommPlan, c1: int, q: int, gpus: int):
     """Exact (same_gpu, same_node, cross_node) traffic fractions, as built-in floats.
 
-    Counted from the block layout: rank (i, j) of the n1 x n2 grid sits
-    on node (j//q)*k + i//c1, slot (j%q)*c1 + i%c1, GPU slot % gpus.
-    Alltoall pairs every rank with its whole dim1 group; allreduce
-    traffic follows the dim2 ring edges j -> j+1 (mod n2).
+    Counted under ``_layout``'s rule, for groups of more than one rank.
+    An alltoall pair's class does not depend on its dim1 group j, so one
+    group is counted from per-node and per-(node, GPU) histograms.  An
+    allreduce ring edge j -> j+1 (mod n2) does not depend on i, so one
+    column's n2 edges are counted and multiplied by n1.
     """
-    lay = _layout(plan, topo)
-    g = topo.gpus_per_node
     if kind == "alltoall":
-        if plan.n1 == 1:
-            return 0.0, 0.0, 0.0
         i = np.arange(plan.n1)
-        band = i // lay.c1
-        col = i % lay.c1
-        same_node = band[:, None] == band[None, :]
-        same_gpu = same_node & ((col[:, None] - col[None, :]) % g == 0)
-        off_diag = ~np.eye(plan.n1, dtype=bool)
+        band = i // c1
+        per_node = np.bincount(band)
+        per_gpu = np.bincount(band * gpus + i % c1 % gpus)
         pairs = plan.n1 * (plan.n1 - 1)
-        f_sib = int(np.count_nonzero(same_gpu & off_diag)) / pairs
-        f_node = int(np.count_nonzero(same_node & off_diag)) / pairs - f_sib
-        return f_sib, f_node, 1.0 - f_sib - f_node
-    if kind == "allreduce":
-        if plan.n2 == 1:
-            return 0.0, 0.0, 0.0
-        i = np.arange(plan.n1)[:, None]
-        j = np.arange(plan.n2)[None, :]
-        jn = (j + 1) % plan.n2
-        node = (j // lay.q) * lay.k + i // lay.c1
-        node_n = (jn // lay.q) * lay.k + i // lay.c1
-        gpu = ((j % lay.q) * lay.c1 + i % lay.c1) % g
-        gpu_n = ((jn % lay.q) * lay.c1 + i % lay.c1) % g
-        same_node = node == node_n
-        same_gpu = same_node & (gpu == gpu_n)
-        edges = plan.n1 * plan.n2
-        f_sib = int(np.count_nonzero(same_gpu)) / edges
-        f_node = int(np.count_nonzero(same_node)) / edges - f_sib
-        return f_sib, f_node, 1.0 - f_sib - f_node
-    raise ValueError(f"kind must be 'alltoall' or 'allreduce', got {kind!r}")
+        same_node = int(per_node @ per_node) - plan.n1
+        same_gpu = int(per_gpu @ per_gpu) - plan.n1
+    else:
+        j = np.arange(plan.n2 + 1) % plan.n2  # the ring, closed: edge j joins j and j+1
+        gpu = (j % q) * c1 % gpus
+        node_edges = j[:-1] // q == j[1:] // q
+        gpu_edges = node_edges & (gpu[:-1] == gpu[1:])
+        pairs = plan.n1 * plan.n2
+        same_node = plan.n1 * int(np.count_nonzero(node_edges))
+        same_gpu = plan.n1 * int(np.count_nonzero(gpu_edges))
+    f_sib = same_gpu / pairs
+    f_node = same_node / pairs - f_sib
+    return f_sib, f_node, 1.0 - f_sib - f_node
 
 
 def collective_time(kind: str, bytes_per_rank: float, plan: CommPlan, topo: MachineTopology) -> float:
@@ -310,10 +292,10 @@ def collective_time(kind: str, bytes_per_rank: float, plan: CommPlan, topo: Mach
     group = plan.n1 if kind == "alltoall" else plan.n2
     if bytes_per_rank == 0 or group == 1:
         return 0.0
-    _, f_node, f_inter = _pair_class_fractions(plan, topo, kind)
-    lay = _layout(plan, topo)
-    bw_intra = topo.intra_aggregate_gbps * GB / lay.u
-    bw_nic = topo.nic_pool_gbps * GB / lay.u
+    u, c1, q = _layout(plan, topo)
+    _, f_node, f_inter = _pair_class_fractions(kind, plan, c1, q, topo.gpus_per_node)
+    bw_intra = topo.intra_aggregate_gbps * GB / u
+    bw_nic = topo.nic_pool_gbps * GB / u
     if topo.nic_layout == "shared_bus":
         bw_nic /= topo.shared_bus_contention
     bw_inter = min(bw_intra, bw_nic)
@@ -330,12 +312,12 @@ def _divisors(n: int) -> list[int]:
 
 
 def plan_decomposition(vm: VolumeModel, total_ranks: int, nodes: int, topo: MachineTopology) -> CommPlan:
-    """Cheapest (n1, n2, placement) split of total_ranks over the nodes.
+    """Cheapest (n1, n2, spread_nodes) split of total_ranks over the nodes.
 
-    Enumerates every factor pair and every feasible placement under a
+    Enumerates every factor pair and every spread that fits under a
     balanced fill of ceil(total/nodes) ranks per node, scoring each by
     predicted alltoall + allreduce seconds.  Ties prefer larger n1, then
-    intra-node placement, then narrower spreads.
+    fewer spread nodes; spread_nodes = 1 is the intra-node placement.
     """
     if total_ranks < 1 or nodes < 1:
         raise ValueError("total_ranks and nodes must be >= 1")
@@ -347,20 +329,18 @@ def plan_decomposition(vm: VolumeModel, total_ranks: int, nodes: int, topo: Mach
     candidates = []
     for n1 in _divisors(total_ranks):
         n2 = total_ranks // n1
-        if n1 <= u and -(-n2 // (u // n1)) <= nodes:
-            candidates.append(CommPlan(n1, n2, "dim1_intra_node", ranks_per_node=u))
-        for k in range(2, min(n1, nodes) + 1):
+        for k in range(1, min(n1, nodes) + 1):
             c1 = -(-n1 // k)
             q = u // c1
             if q >= 1 and -(-n2 // q) * k <= nodes:
-                candidates.append(CommPlan(n1, n2, "dim1_spread", spread_nodes=k, ranks_per_node=u))
+                candidates.append(CommPlan(n1, n2, spread_nodes=k, ranks_per_node=u))
     if not candidates:
         raise ValueError(f"no feasible decomposition of {total_ranks} ranks on {nodes} node(s)")
 
     def score(plan: CommPlan):
         t = collective_time("alltoall", alltoall_volume(vm, plan), plan, topo) \
             + collective_time("allreduce", allreduce_volume(vm, plan), plan, topo)
-        return (t, -plan.n1, 0 if plan.placement == "dim1_intra_node" else 1, plan.spread_nodes)
+        return (t, -plan.n1, plan.spread_nodes)
 
     return min(candidates, key=score)
 
@@ -393,7 +373,7 @@ def natural_plan(total_ranks: int, nodes: int, topo: MachineTopology) -> CommPla
     u = -(-total_ranks // nodes)
     if u > topo.ranks_per_node or total_ranks % u:
         raise ValueError(f"{total_ranks} ranks do not fill {nodes} node(s) evenly")
-    return CommPlan(u, total_ranks // u, "dim1_intra_node", ranks_per_node=u)
+    return CommPlan(u, total_ranks // u, ranks_per_node=u)
 
 
 def zeroed(topo: MachineTopology) -> MachineTopology:

@@ -180,6 +180,36 @@ def idft_oracle_2d(spec: np.ndarray, n_y: int) -> np.ndarray:
     return out.real
 
 
+def comm_pair_fractions_oracle(n1, n2, spread_nodes, ranks_per_node, gpus_per_node, kind):
+    """(same_gpu, same_node, cross_node) traffic fractions, rank by rank.
+
+    Places every rank (i, j) of the n1 x n2 grid, with k = spread_nodes,
+    c1 = ceil(n1/k) and q = ranks_per_node // c1, on node (j//q)*k + i//c1
+    and GPU ((j%q)*c1 + i%c1) % gpus_per_node, then classes every ordered
+    pair that exchanges data: alltoall pairs within each dim1 group (one
+    j), allreduce ring edges (i, j) -> (i, j+1 mod n2).
+    """
+    c1 = -(-n1 // spread_nodes)
+    q = ranks_per_node // c1
+    place = [[((j // q) * spread_nodes + i // c1, ((j % q) * c1 + i % c1) % gpus_per_node)
+              for j in range(n2)] for i in range(n1)]
+    if kind == "alltoall":
+        # list.count matches a rank against its whole group, itself included
+        groups = [[row[j] for row in place] for j in range(n2)]
+        nodes = [[node for node, _ in group] for group in groups]
+        pairs = n2 * n1 * (n1 - 1)
+        same_gpu = sum(group.count(a) - 1 for group in groups for a in group)
+        same_node = sum(group.count(a) - 1 for group in nodes for a in group)
+    else:
+        edges = [(row[j], row[(j + 1) % n2]) for row in place for j in range(n2)]
+        pairs = len(edges)
+        same_gpu = sum(a == b for a, b in edges)
+        same_node = sum(a[0] == b[0] for a, b in edges)
+    f_sib = same_gpu / pairs
+    f_node = same_node / pairs - f_sib
+    return f_sib, f_node, 1.0 - f_sib - f_node
+
+
 def _c2r_representable(spec: np.ndarray) -> np.ndarray:
     spec = hermitian_ky0(np.asarray(spec, dtype=complex))
     n_kx = spec.shape[-1]

@@ -107,21 +107,9 @@ def test_topo_and_topo_file_mutually_exclusive():
                     "--topo-file", "x.topo", "--ranks", "24", "--nodes", "6"])
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("GYROPROXY_THREADS", "3")
-    config = parse_args(["bench", "--case", "sh03b-desk"])
-    assert config.threads == 3
-    # an explicit flag wins over the environment
-    config = parse_args(["bench", "--case", "sh03b-desk", "--threads", "2"])
-    assert config.threads == 2
-    monkeypatch.setenv("GYROPROXY_THREADS", "many")
-    with pytest.raises(ConfigError):
-        parse_args(["bench", "--case", "sh03b-desk"])
-
-
-def test_threads_default_is_one(monkeypatch):
-    monkeypatch.delenv("GYROPROXY_THREADS", raising=False)
+def test_threads_default_is_one():
     assert parse_args(["bench", "--case", "sh03b-desk"]).threads == 1
+    assert parse_args(["bench", "--case", "sh03b-desk", "--threads", "2"]).threads == 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +162,9 @@ def test_plan_padding_row_values(tmp_path, capsys):
     assert f"wrote {out}" in stdout
     meta, rows = read_report(out)
     assert "command=plan-padding" in meta
+    # plan-padding takes no seed, so its report names none
+    assert "seed=" not in meta
+    assert meta.rstrip().endswith(f" cores={os.cpu_count()}")
     assert rows[0] == {"n_logical": "479", "n_min": "719", "n_padded": "720",
                        "factors": "2*2*2*2*3*3*5", "score": "19"}
     assert rows[1]["n_padded"] == "72"

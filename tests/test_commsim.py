@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from gyroproxy.commsim import (
     CommPlan,
     MachineTopology,
     VolumeModel,
+    _layout,
+    _pair_class_fractions,
     allreduce_volume,
     alltoall_volume,
     builtin_topology,
@@ -19,6 +22,7 @@ from gyroproxy.commsim import (
     zeroed,
 )
 from gyroproxy.grid import make_case
+from gyroproxy.oracles import comm_pair_fractions_oracle
 
 PERL = builtin_topology("perlmutter_like")
 FRONT = builtin_topology("frontier_like")
@@ -27,7 +31,7 @@ VOLUME_SWEEP = np.logspace(6, 10, 9)  # 1 MB .. 10 GB
 
 # natural 24-rank / 6-node split, identical occupancy on both machines
 PLAN_S = natural_plan(24, 6, PERL)
-PLAN_D = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
+PLAN_D = CommPlan(4, 6, ranks_per_node=4)
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +122,12 @@ def test_load_topology_errors(tmp_path):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        CommPlan(0, 4, "dim1_intra_node")
+        CommPlan(0, 4)
     with pytest.raises(ValueError):
-        CommPlan(2, 2, "dim1_packed")
+        CommPlan(2, 2, spread_nodes=0)
     with pytest.raises(ValueError):
-        CommPlan(2, 2, "dim1_intra_node", spread_nodes=2)
-    with pytest.raises(ValueError):
-        CommPlan(2, 2, "dim1_spread", spread_nodes=1)
-    with pytest.raises(ValueError):
-        CommPlan(2, 2, "dim1_intra_node", ranks_per_node=0)
-    assert CommPlan(3, 5, "dim1_intra_node").total_ranks == 15
+        CommPlan(2, 2, ranks_per_node=0)
+    assert CommPlan(3, 5).total_ranks == 15
 
 
 def test_volume_model_validation():
@@ -140,23 +140,23 @@ def test_volume_model_validation():
 
 def test_alltoall_volume_closed_form():
     vm = VolumeModel(96 * 10**9, 0)
-    plan = CommPlan(8, 3, "dim1_intra_node")
+    plan = CommPlan(8, 3)
     assert alltoall_volume(vm, plan) == pytest.approx(3.5e9)
-    assert alltoall_volume(vm, CommPlan(1, 24, "dim1_intra_node")) == 0.0
+    assert alltoall_volume(vm, CommPlan(1, 24)) == 0.0
 
 
 def test_allreduce_volume_closed_form():
     vm = VolumeModel(0, 8 * 10**6)
-    plan = CommPlan(4, 6, "dim1_intra_node")
+    plan = CommPlan(4, 6)
     assert allreduce_volume(vm, plan) == pytest.approx(1e7 / 3)
-    assert allreduce_volume(vm, CommPlan(24, 1, "dim1_intra_node")) == 0.0
+    assert allreduce_volume(vm, CommPlan(24, 1)) == 0.0
 
 
 def test_allreduce_volume_grows_with_group_size():
     # at fixed total ranks the reduce buffer grows with n2
     vm = VolumeModel(0, 10**6)
     volumes = [
-        allreduce_volume(vm, CommPlan(24 // n2, n2, "dim1_intra_node"))
+        allreduce_volume(vm, CommPlan(24 // n2, n2))
         for n2 in (1, 2, 4, 8, 24)
     ]
     assert volumes == sorted(volumes)
@@ -168,16 +168,16 @@ def test_allreduce_volume_grows_with_group_size():
 
 
 def test_zero_work_costs_exactly_zero():
-    plan = CommPlan(4, 6, "dim1_intra_node")
+    plan = CommPlan(4, 6)
     assert collective_time("alltoall", 0.0, plan, PERL) == 0.0
     assert collective_time("allreduce", 0.0, plan, FRONT) == 0.0
-    solo = CommPlan(1, 1, "dim1_intra_node")
+    solo = CommPlan(1, 1)
     assert collective_time("alltoall", 1e9, solo, PERL) == 0.0
     assert collective_time("allreduce", 1e9, solo, PERL) == 0.0
 
 
 def test_collective_time_input_validation():
-    plan = CommPlan(4, 6, "dim1_intra_node")
+    plan = CommPlan(4, 6)
     with pytest.raises(ValueError):
         collective_time("gather", 1e6, plan, PERL)
     with pytest.raises(ValueError):
@@ -185,9 +185,11 @@ def test_collective_time_input_validation():
 
 
 def test_plan_must_fit_node_capacity():
-    plan = CommPlan(8, 1, "dim1_intra_node", ranks_per_node=8)
-    with pytest.raises(ValueError, match="capacity"):
-        collective_time("alltoall", 1e6, plan, PERL)
+    # more ranks per node than slots, and a group share wider than the fill
+    for plan, match in ((CommPlan(8, 1, ranks_per_node=8), "capacity"),
+                        (CommPlan(8, 1, spread_nodes=2, ranks_per_node=3), "needs 4 slots per node")):
+        with pytest.raises(ValueError, match=match):
+            collective_time("alltoall", 1e6, plan, PERL)
 
 
 def test_intra_node_alltoall_exact_share():
@@ -201,13 +203,13 @@ def test_same_gpu_traffic_is_free():
         name="one-gpu", gpus_per_node=1, intra_node_links=1, intra_link_gbps=10.0,
         nic_layout="shared_bus", nics_per_node=1, nic_bandwidth=10.0, processes_per_gpu=4,
     )
-    plan = CommPlan(4, 1, "dim1_intra_node")
+    plan = CommPlan(4, 1)
     assert collective_time("alltoall", 1e9, plan, topo) == 0.0
 
 
 def test_cross_node_pair_rate():
     # two ranks on two nodes: all traffic crosses the wire
-    plan = CommPlan(2, 1, "dim1_spread", spread_nodes=2, ranks_per_node=1)
+    plan = CommPlan(2, 1, spread_nodes=2, ranks_per_node=1)
     t_front = collective_time("alltoall", 1e9, plan, FRONT)
     assert t_front == pytest.approx(1e9 / (100 * GB), rel=1e-12)
     t_perl = collective_time("alltoall", 1e9, plan, PERL)
@@ -216,7 +218,7 @@ def test_cross_node_pair_rate():
 
 
 def test_time_linear_in_bytes_without_latency():
-    plan = CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
+    plan = CommPlan(4, 6, ranks_per_node=4)
     t1 = collective_time("allreduce", 1e8, plan, FRONT)
     t2 = collective_time("allreduce", 2e8, plan, FRONT)
     assert t2 == pytest.approx(2 * t1, rel=1e-12)
@@ -261,7 +263,7 @@ def test_shared_bus_hurts_allreduce_more_than_alltoall():
 def test_collective_time_is_builtin_float(kind):
     # both groups exceed one rank, so the traffic fractions are counted;
     # a numpy scalar here reaches the CSV reports as "np.float64(...)"
-    spread = CommPlan(8, 3, "dim1_spread", spread_nodes=2)
+    spread = CommPlan(8, 3, spread_nodes=2)
     for plan, topo in ((PLAN_S, PERL), (PLAN_D, FRONT), (spread, PERL)):
         assert plan.n1 > 1 and plan.n2 > 1
         assert type(collective_time(kind, 1e9, plan, topo)) is float
@@ -291,7 +293,8 @@ def test_planner_keeps_transpose_inside_nodes():
 def test_planner_spreads_when_transpose_dominates():
     vm = VolumeModel.from_shape(make_case("em04b"))
     plan = plan_decomposition(vm, 288, 72, FRONT)
-    assert plan == CommPlan(288, 1, "dim1_spread", spread_nodes=72, ranks_per_node=4)
+    assert plan == CommPlan(288, 1, spread_nodes=72, ranks_per_node=4)
+    assert plan.placement == "dim1_spread"
 
 
 def test_planner_handles_prime_rank_counts():
@@ -316,7 +319,7 @@ def test_planner_rejects_impossible_requests():
 
 
 def test_natural_plan_requires_even_fill():
-    assert natural_plan(24, 6, PERL) == CommPlan(4, 6, "dim1_intra_node", ranks_per_node=4)
+    assert natural_plan(24, 6, PERL) == CommPlan(4, 6, ranks_per_node=4)
     with pytest.raises(ValueError):
         natural_plan(23, 6, PERL)
     with pytest.raises(ValueError):
@@ -346,7 +349,7 @@ def test_predict_report_natural_volume_identity():
 
 
 def test_predict_report_degenerate_split_is_free():
-    rows = predict_report(make_case("sh03b-desk"), PERL, CommPlan(1, 1, "dim1_intra_node"))
+    rows = predict_report(make_case("sh03b-desk"), PERL, CommPlan(1, 1))
     assert all(r.seconds == 0.0 and r.bytes_per_rank == 0.0 for r in rows)
 
 
@@ -355,3 +358,23 @@ def test_predict_report_values_are_builtin_floats():
         for row in predict_report(make_case("sh03b"), topo, natural_plan(24, 6, topo)):
             assert type(row.seconds) is float
             assert type(row.bytes_per_rank) is float
+
+
+def test_pair_fractions_match_rank_by_rank_oracle():
+    # every layout of n1, n2 in 2..9 over 1..4 nodes at every fill a node
+    # of 1..4 GPUs holds, each under the fewest processes per GPU (1..3)
+    # that fit it: capacity only bounds the fill, not the fractions
+    wrong = []
+    for gpus in range(1, 5):
+        for fill in range(1, 3 * gpus + 1):
+            topo = dataclasses.replace(PERL, gpus_per_node=gpus, processes_per_gpu=-(-fill // gpus))
+            for n1, n2, k in itertools.product(range(2, 10), range(2, 10), range(1, 5)):
+                if -(-n1 // k) > fill:
+                    continue
+                plan = CommPlan(n1, n2, k, fill)
+                _, c1, q = _layout(plan, topo)
+                for kind in ("alltoall", "allreduce"):
+                    if _pair_class_fractions(kind, plan, c1, q, gpus) != \
+                            comm_pair_fractions_oracle(n1, n2, k, fill, gpus, kind):
+                        wrong.append((kind, plan, gpus))
+    assert wrong == []
