@@ -186,11 +186,21 @@ def bracket_self_zero(case, seed):
     return worst, 1e-12, worst <= 1e-12
 
 
+def _threads_agree(kernel, h, inputs, one):
+    """Whether two threads give the one-thread output ``one`` bit for bit."""
+    return np.array_equal(one, run_kernel(kernel, h, inputs, threads=2))
+
+
 def field_oracle(case, seed):
-    """Relative error of the field reduction against the loop oracle."""
+    """Relative error of the field reduction against the loop oracle.
+
+    Two threads must also give the one-thread result bit for bit, here and
+    in the stream, shear and collision checks.
+    """
     h, inputs = _seeded(case, seed)
-    err = rel_err(run_kernel("field", h, inputs), oracles.field_moment_oracle(h, inputs["weights"]))
-    return err, TOLERANCE["field"], err <= TOLERANCE["field"]
+    got = run_kernel("field", h, inputs)
+    err = rel_err(got, oracles.field_moment_oracle(h, inputs["weights"]))
+    return err, TOLERANCE["field"], _threads_agree("field", h, inputs, got) and err <= TOLERANCE["field"]
 
 
 def stream_variants(case, seed):
@@ -199,7 +209,7 @@ def stream_variants(case, seed):
     optimized = run_kernel("stream", h, inputs)
     err = max(rel_err(optimized, run_kernel("stream", h, inputs, "original")),
               rel_err(optimized, oracles.stream_oracle(h, inputs["stencil"])))
-    return err, TOLERANCE["stream"], err <= TOLERANCE["stream"]
+    return err, TOLERANCE["stream"], _threads_agree("stream", h, inputs, optimized) and err <= TOLERANCE["stream"]
 
 
 def shear_variants(case, seed):
@@ -208,14 +218,15 @@ def shear_variants(case, seed):
     optimized = run_kernel("shear", h, inputs)
     diff = max(float(np.max(np.abs(optimized - want))) for want in (
         run_kernel("shear", h, inputs, "original"), oracles.shear_oracle(h, inputs["shifts"])))
-    return diff, TOLERANCE["shear"], diff <= TOLERANCE["shear"]
+    return diff, TOLERANCE["shear"], _threads_agree("shear", h, inputs, optimized) and diff <= TOLERANCE["shear"]
 
 
 def collision_oracle(case, seed):
     """Relative error of the collision matvec against the loop oracle."""
     h, inputs = _seeded(case, seed)
-    err = rel_err(run_kernel("collision", h, inputs), oracles.collision_oracle(h, inputs["matrices"]))
-    return err, TOLERANCE["collision"], err <= TOLERANCE["collision"]
+    got = run_kernel("collision", h, inputs)
+    err = rel_err(got, oracles.collision_oracle(h, inputs["matrices"]))
+    return err, TOLERANCE["collision"], _threads_agree("collision", h, inputs, got) and err <= TOLERANCE["collision"]
 
 
 def nonlinear_slices(case, seed):
@@ -231,8 +242,7 @@ def nonlinear_slices(case, seed):
     for idx in np.ndindex(h.shape[:3]):
         want[idx] = bracket(h[idx], inputs["phi"], *inputs["plans"])
     err = rel_err(got, want)
-    same = np.array_equal(got, run_kernel("nonlinear", h, inputs, threads=2))
-    return err, 1e-13, bool(same and err <= 1e-13)
+    return err, 1e-13, _threads_agree("nonlinear", h, inputs, got) and err <= 1e-13
 
 
 def comm_volumes(case, seed):

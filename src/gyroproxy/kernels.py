@@ -18,10 +18,16 @@ Where a restructuring optimization exists, both sides of it are kept:
 
 ``field``, ``collision`` and ``nonlinear`` have one implementation, which
 runs as their ``optimized`` variant; they have no ``original``.
+
+Every kernel splits its output into disjoint slabs over ``threads``
+workers of one pool per thread count that lives for the whole process.
+A slab runs the same numpy calls it would on one thread, so the thread
+count never changes a result, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import statistics
 import time
@@ -44,23 +50,49 @@ KERNEL_VARIANTS = {k: VARIANTS if k in ("stream", "shear") else ("optimized",) f
 DEFAULT_STENCIL = (1.0 / 12.0, -8.0 / 12.0, 0.0, 8.0 / 12.0, -1.0 / 12.0)
 
 
-def field_kernel(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide pool of ``threads`` workers, made on first use."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="gyroproxy")
+
+
+def _split(n: int, threads: int, fn) -> None:
+    """fn(lo, hi) over disjoint ranges covering 0..n, on min(threads, n) workers.
+
+    A single range runs fn(0, n) on the calling thread, with no pool call.
+    """
+    parts = min(threads, n)
+    if parts <= 1:
+        return fn(0, n)
+    edges = [n * i // parts for i in range(parts + 1)]
+    list(_pool(threads).map(fn, edges[:-1], edges[1:]))
+
+
+def field_kernel(h: np.ndarray, weights: np.ndarray, threads: int = 1) -> np.ndarray:
     """Weighted reduction over (species, energy, xi).
 
     out[theta, ky, kx] = sum_{s,e,xi} w[s,e,xi] * h[s,e,xi,theta,ky,kx]
+    The real weights multiply h.view(float) as one GEMV per theta plane,
+    split over theta: cut inside a plane, a GEMV rounds its edges differently.
     """
-    if weights.shape != h.shape[:3]:
-        raise ValueError(f"weights shape {weights.shape} != velocity dims {h.shape[:3]}")
-    return np.tensordot(weights, h, axes=3)
+    if weights.shape != h.shape[:3] or np.iscomplexobj(weights):
+        raise ValueError(f"need real weights of shape {h.shape[:3]}, got {weights.dtype} {weights.shape}")
+    h = np.ascontiguousarray(h, dtype=complex)
+    out = np.empty(h.shape[3:], dtype=complex)
+    hf = h.view(float).reshape(weights.size, h.shape[3], -1).transpose(1, 0, 2)
+    of = out.view(float).reshape(h.shape[3], -1)
+    _split(len(of), threads, lambda lo, hi: np.matmul(weights.reshape(-1), hf[lo:hi], out=of[lo:hi]))
+    return out
 
 
-def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized") -> np.ndarray:
+def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized", threads: int = 1) -> np.ndarray:
     """Periodic stencil along theta.
 
     out[..., t, :, :] = sum_d c_d * h[..., (t+d) mod n_theta, :, :]
     with offsets d = -w//2 .. w//2 for an odd stencil width w <= n_theta.
     Optimized: circ[t, (t+d) mod n_theta] = c_d, applied to every theta
-    column of h.view(float) as one batched real GEMM.
+    column of h.view(float) as one batched real GEMM, split over the
+    flattened velocity rows.  The original runs on one thread.
     """
     _check_variant(variant)
     stencil = np.asarray(stencil)
@@ -79,14 +111,16 @@ def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized") -> np.ndar
     circ = sum(c * np.roll(np.eye(n_theta), i - half, axis=1) for i, c in enumerate(stencil))
     h = np.ascontiguousarray(h, dtype=complex)
     out = np.empty(h.shape, dtype=complex)
-    np.matmul(circ, h.view(float).reshape(*h.shape[:4], -1), out=out.view(float).reshape(*h.shape[:4], -1))
+    hf, of = (a.view(float).reshape(-1, n_theta, 2 * h.shape[4] * h.shape[5]) for a in (h, out))
+    _split(len(hf), threads, lambda lo, hi: np.matmul(circ, hf[lo:hi], out=of[lo:hi]))
     return out
 
 
-def shear_kernel(h: np.ndarray, shifts, variant: str = "optimized") -> np.ndarray:
+def shear_kernel(h: np.ndarray, shifts, variant: str = "optimized", threads: int = 1) -> np.ndarray:
     """Radial gather, shifted per toroidal mode, zero-filled at the edges.
 
     out[..., ky, kx] = h[..., ky, kx + shift[ky]]  (zero outside the range)
+    Split over the flattened (species, energy, xi, theta) rows.
     """
     _check_variant(variant)
     shifts = np.asarray(shifts, dtype=int)
@@ -96,28 +130,28 @@ def shear_kernel(h: np.ndarray, shifts, variant: str = "optimized") -> np.ndarra
     if np.any(np.abs(shifts) > n_kx):
         raise ValueError("shifts exceed the radial extent")
 
-    def gather(dst):
+    src = h.reshape(-1, n_ky, n_kx)
+    dst = np.zeros_like(src)
+
+    def gather(lo, hi):
         for iy, s in enumerate(shifts):
             if s >= 0:
-                dst[..., iy, : n_kx - s] = h[..., iy, s:]
+                dst[lo:hi, iy, : n_kx - s] = src[lo:hi, iy, s:]
             else:
-                dst[..., iy, -s:] = h[..., iy, : n_kx + s]
+                dst[lo:hi, iy, -s:] = src[lo:hi, iy, : n_kx + s]
 
-    if variant == "original":
-        scratch = np.zeros_like(h)
-        gather(scratch)
-        return scratch.copy()
-    out = np.zeros_like(h)
-    gather(out)
-    return out
+    _split(len(src), threads, gather)
+    # the original gathers into scratch storage, then copies it out
+    return (dst.copy() if variant == "original" else dst).reshape(h.shape)
 
 
-def collision_kernel(h: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+def collision_kernel(h: np.ndarray, matrices: np.ndarray, threads: int = 1) -> np.ndarray:
     """Per-theta dense matrix-vector multiply over flattened velocity space.
 
     The velocity vector index is the C-order flattening of
     (species, energy, xi), matching the state layout.  The real matrices
-    multiply h.view(float) in one batched real GEMM, one per theta plane.
+    multiply h.view(float) in one batched real GEMM, one per theta plane,
+    split over theta.
     """
     ns, ne, nxi, n_theta = h.shape[:4]
     m = ns * ne * nxi
@@ -126,7 +160,7 @@ def collision_kernel(h: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     h = np.ascontiguousarray(h, dtype=complex)
     out = np.empty(h.shape, dtype=complex)
     hf, of = (a.view(float).reshape(m, n_theta, -1).transpose(1, 0, 2) for a in (h, out))
-    np.matmul(matrices, hf, out=of)
+    _split(n_theta, threads, lambda lo, hi: np.matmul(matrices[lo:hi], hf[lo:hi], out=of[lo:hi]))
     return out
 
 
@@ -139,23 +173,16 @@ def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) ->
             state slice at the matching theta.
         plans: (plan_x, plan_y) pair satisfying the dealias bounds, e.g.
             from spectral.bracket_plans.
-        threads: slices are independent; values > 1 split the batch across
-            a thread pool.  The result is identical for any thread count.
+        threads: workers the velocity rows are split over, each bracketing
+            straight into its slab of the output.  The result is identical
+            for any thread count.
     """
     n_theta, n_ky, n_kx = h.shape[3:]
     if phi.shape != (n_theta, n_ky, n_kx):
         raise ValueError(f"phi shape {phi.shape} != field dims {(n_theta, n_ky, n_kx)}")
     batch = h.reshape(-1, n_theta, n_ky, n_kx)
-    if threads <= 1 or len(batch) < 2 * threads:
-        return bracket(batch, phi, *plans).reshape(h.shape)
     out = np.empty(batch.shape, dtype=complex)
-    edges = [len(batch) * i // threads for i in range(threads + 1)]
-
-    def chunk(lo, hi):
-        out[lo:hi] = bracket(batch[lo:hi], phi, *plans)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(chunk, edges[:-1], edges[1:]))
+    _split(len(batch), threads, lambda lo, hi: bracket(batch[lo:hi], phi, *plans, out=out[lo:hi]))
     return out.reshape(h.shape)
 
 
@@ -186,20 +213,23 @@ def run_kernel(kernel: str, h: np.ndarray, inputs: dict, variant: str = "optimiz
     """Dispatch one kernel by name on a prepared state and input set.
 
     Raises ValueError for a kernel or variant that does not exist,
-    ``original`` of a single-implementation kernel included.
+    ``original`` of a single-implementation kernel included, and for
+    fewer than one thread.
     """
     if kernel not in KERNEL_VARIANTS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
     if variant not in KERNEL_VARIANTS[kernel]:
         raise ValueError(f"{kernel} has no variant {variant!r}; expected one of {KERNEL_VARIANTS[kernel]}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if kernel == "field":
-        return field_kernel(h, inputs["weights"])
+        return field_kernel(h, inputs["weights"], threads)
     if kernel == "stream":
-        return stream_kernel(h, inputs["stencil"], variant)
+        return stream_kernel(h, inputs["stencil"], variant, threads)
     if kernel == "shear":
-        return shear_kernel(h, inputs["shifts"], variant)
+        return shear_kernel(h, inputs["shifts"], variant, threads)
     if kernel == "collision":
-        return collision_kernel(h, inputs["matrices"])
+        return collision_kernel(h, inputs["matrices"], threads)
     return nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads)
 
 

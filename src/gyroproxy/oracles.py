@@ -71,17 +71,21 @@ def shear_oracle(h: np.ndarray, shifts) -> np.ndarray:
 
 
 def collision_oracle(h: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Per-theta dense matvec over velocity space, accumulated scalar by scalar."""
+    """Per-theta dense matvec over velocity space, accumulated scalar by scalar.
+
+    Every row i of a theta plane accumulates matrices[t, i, j] * h[j, t]
+    over j in order, all rows at once; one plane at a time keeps the
+    accumulator in cache.
+    """
     ns, ne, nxi, n_theta = h.shape[:4]
     m = ns * ne * nxi
     hs = h.reshape(m, n_theta, -1)
-    out = np.zeros_like(hs)
+    out = np.empty_like(hs)
     for t in range(n_theta):
-        for i in range(m):
-            acc = np.zeros(hs.shape[2], dtype=hs.dtype)
-            for j in range(m):
-                acc = acc + matrices[t, i, j] * hs[j, t]
-            out[i, t] = acc
+        acc = np.zeros_like(hs[:, t])
+        for j in range(m):
+            acc += matrices[t, :, j, None] * hs[j, t]
+        out[:, t] = acc
     return out.reshape(h.shape)
 
 

@@ -199,7 +199,7 @@ def _plan_size(plan) -> int:
 _BLOCK_BYTES = 1 << 21
 
 
-def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
+def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased Poisson bracket {f, g} = (dx f)(dy g) - (dy f)(dx g).
 
     Computed pseudo-spectrally: spectral derivatives (multiply by i*k with
@@ -217,9 +217,12 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
             broadcast against each other.
         plan_x: PaddedPlan (or plain size) with n_padded >= ceil(3*n_kx/2).
         plan_y: PaddedPlan (or plain size) with n_padded >= 3*n_ky - 2.
+        out: optional C-contiguous complex array of the result's shape,
+            written and returned in place of a fresh one.
 
     Raises:
-        ValueError: shape mismatch or plan below its dealias bound.
+        ValueError: shape mismatch, plan below its dealias bound, or an
+            unusable ``out``.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -233,18 +236,22 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y) -> np.ndarray:
     if n_y < min_padded_y(n_ky):
         raise ValueError(f"plan_y size {n_y} below dealias bound {min_padded_y(n_ky)}")
     shape = np.broadcast_shapes(f.shape, g.shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous complex {shape}, got {out.dtype} {out.shape}")
     batch = shape[:-2] or (1,)
     f = np.broadcast_to(f, batch + (n_ky, n_kx))
     ikx = 1j * kx_derivative_values(n_kx)
     iky = 1j * np.arange(n_ky, dtype=float)[:, None]
     ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
     gd = np.broadcast_to(to_real(g[..., None, :, :] * ik, n_x, n_y), batch + (2, n_y, n_x))
+    blocks = out.reshape(batch + (n_ky, n_kx))
     step = max(1, _BLOCK_BYTES // (32 * n_x * n_y * (int(np.prod(batch[1:])) or 1)))
-    out = np.empty(batch + (n_ky, n_kx), dtype=complex)
     for lo in range(0, batch[0], step):
         rows = slice(lo, lo + step)
         fd = to_real(f[rows, ..., None, :, :] * ik, n_x, n_y)
         prod = fd[..., 0, :, :] * gd[rows, ..., 1, :, :]
         prod -= fd[..., 1, :, :] * gd[rows, ..., 0, :, :]
-        out[rows] = to_spectrum(prod, n_kx, n_ky)
-    return out.reshape(shape)
+        blocks[rows] = to_spectrum(prod, n_kx, n_ky)
+    return out

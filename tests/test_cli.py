@@ -208,6 +208,17 @@ def test_bench_report_schema_and_determinism(tmp_path):
         assert ra["variant"] == "optimized"
 
 
+def test_bench_checksums_do_not_depend_on_threads(tmp_path):
+    rows = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["bench", "--case", "sh03b-desk", "--reps", "3", "--threads", threads,
+                     "--out", str(out)]) == EXIT_OK
+        rows[threads] = {(r["kernel"], r["variant"]): r["checksum"] for r in read_report(out)[1]}
+    assert len(rows["1"]) == 7
+    assert rows["2"] == rows["1"]
+
+
 def test_compare_of_identical_reports_is_unity(tmp_path, capsys):
     bench = tmp_path / "bench.csv"
     main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",

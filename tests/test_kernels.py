@@ -1,11 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
+from gyroproxy import kernels
 from gyroproxy.checks import rel_err
 from gyroproxy.grid import GridShape, make_case, random_state, substream
 from gyroproxy.kernels import (
     DEFAULT_STENCIL,
     KERNEL_NAMES,
+    KERNEL_VARIANTS,
     VARIANTS,
     KernelTiming,
     checksum,
@@ -28,6 +32,9 @@ from gyroproxy.oracles import (
 from gyroproxy.spectral import bracket, bracket_plans, is_hermitian, random_spectrum
 
 SMALL = GridShape(n_radial=12, n_toroidal=4, n_theta=5, n_xi=3, n_energy=2, n_species=2)
+
+#: Every (kernel, variant) pair run_kernel accepts.
+KERNEL_CASES = [(k, v) for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]]
 
 
 def seeded(shape, seed):
@@ -212,11 +219,29 @@ def test_collision_matches_loop_oracle():
         assert rel_err(got, collision_oracle(h, inputs["matrices"])) < 1e-12
 
 
+def test_collision_oracle_matches_scalar_triple_loop():
+    # the oracle sums over j in the same order as one scalar loop per
+    # (theta, row), so it must reproduce that loop bit for bit
+    h, inputs = seeded(SMALL, 28)
+    matrices = inputs["matrices"]
+    m, n_theta = SMALL.velocity_size, SMALL.n_theta
+    hs = h.reshape(m, n_theta, -1)
+    want = np.zeros_like(hs)
+    for t in range(n_theta):
+        for i in range(m):
+            acc = np.zeros(hs.shape[2], dtype=hs.dtype)
+            for j in range(m):
+                acc = acc + matrices[t, i, j] * hs[j, t]
+            want[i, t] = acc
+    assert np.array_equal(collision_oracle(h, matrices), want.reshape(h.shape))
+
+
 # ---------------------------------------------------------------------------
-# real coefficients on the state's float view (stream, collision)
+# real coefficients on the state's float view (field, stream, collision)
 
 
-@pytest.mark.parametrize("kernel,variant", [("stream", "original"), ("stream", "optimized"), ("collision", "optimized")])
+@pytest.mark.parametrize("kernel,variant", [("field", "optimized"), ("stream", "original"), ("stream", "optimized"),
+                                            ("collision", "optimized")])
 def test_float_view_kernels_accept_any_layout(kernel, variant):
     # the product is written through a view of the output; a Fortran-order
     # or strided state must not turn that view into a discarded copy
@@ -235,6 +260,8 @@ def test_float_view_kernels_reject_complex_coefficients():
             stream_kernel(h, (0.5j, 0.0, -0.5j), variant)
     with pytest.raises(ValueError):
         collision_kernel(h, inputs["matrices"].astype(complex))
+    with pytest.raises(ValueError):
+        field_kernel(h, inputs["weights"].astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +313,6 @@ def test_nonlinear_slice_matches_convolution_oracle():
         assert rel_err(out[0, 0, 0, t], want) < 1e-12
 
 
-def test_nonlinear_thread_count_does_not_change_results():
-    # SMALL's whole batch is one bracket block, so six threads is more threads than blocks
-    h, inputs = seeded(SMALL, 19)
-    one = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=1)
-    two = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=2)
-    four = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=4)
-    six = nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads=6)
-    assert np.array_equal(one, two)
-    assert np.array_equal(one, four)
-    assert np.array_equal(one, six)
-
-
 def test_nonlinear_preserves_representability():
     shape = GridShape(n_radial=8, n_toroidal=4, n_theta=2, n_xi=2, n_energy=1, n_species=1)
     gen = substream(20, 0)
@@ -324,6 +339,37 @@ def test_linear_kernels_are_linear(kernel):
     assert rel_err(lhs, rhs) < 1e-12
 
 
+@pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
+def test_thread_count_does_not_change_results(kernel, variant):
+    # SMALL has 5 theta planes, so six threads is more workers than field
+    # and collision can use
+    h, inputs = seeded(SMALL, 19)
+    one = run_kernel(kernel, h, inputs, variant, threads=1)
+    for threads in (2, 4, 6):
+        assert np.array_equal(run_kernel(kernel, h, inputs, variant, threads=threads), one)
+
+
+def test_pool_persists_across_calls():
+    # a two-party barrier makes the pool start both of its workers first
+    barrier = threading.Barrier(2, timeout=30)
+    kernels._split(2, 2, lambda lo, hi: barrier.wait())
+    before = set(threading.enumerate())
+    h, inputs = seeded(SMALL, 35)
+    for _ in range(3):
+        for kernel, variant in KERNEL_CASES:
+            run_kernel(kernel, h, inputs, variant, threads=2)
+    assert set(threading.enumerate()) == before
+    assert threading.active_count() == len(before)
+    assert kernels._pool(2) is kernels._pool(2)
+
+
+def test_one_thread_makes_no_pool_call(monkeypatch):
+    monkeypatch.setattr(kernels, "_pool", None)  # any call now raises TypeError
+    h, inputs = seeded(SMALL, 36)
+    for kernel, variant in KERNEL_CASES:
+        run_kernel(kernel, h, inputs, variant, threads=1)
+
+
 def test_run_kernel_rejects_unknown_names():
     h, inputs = seeded(SMALL, 23)
     with pytest.raises(ValueError):
@@ -334,6 +380,14 @@ def test_run_kernel_rejects_unknown_names():
     for kernel in ("field", "collision", "nonlinear"):
         with pytest.raises(ValueError):
             run_kernel(kernel, h, inputs, "original")
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_kernel_rejects_bad_thread_counts(threads):
+    h, inputs = seeded(SMALL, 37)
+    for kernel in KERNEL_NAMES:
+        with pytest.raises(ValueError):
+            run_kernel(kernel, h, inputs, threads=threads)
 
 
 def test_make_kernel_inputs_shapes_and_determinism():

@@ -374,6 +374,20 @@ def test_bracket_rejects_shape_mismatch():
         bracket(f, g, 16, 16)
 
 
+def test_bracket_writes_into_out():
+    gen = substream(30, 0)
+    f = np.stack([random_spectrum(8, 4, gen) for _ in range(3)])
+    g = random_spectrum(8, 4, gen)
+    plans = bracket_plans(8, 4)
+    out = np.full(f.shape, np.nan, dtype=complex)
+    assert bracket(f, g, *plans, out=out) is out
+    assert np.array_equal(out, bracket(f, g, *plans))
+    # a wrong shape or dtype, or a strided view whose reshape would be a copy
+    for bad in (out[:2], out.real.copy(), np.empty((3, 4, 16), dtype=complex)[..., ::2]):
+        with pytest.raises(ValueError):
+            bracket(f, g, *plans, out=bad)
+
+
 def _f_block_sizes(monkeypatch, f, g, plans):
     """bracket(f, g) and the leading-axis rows of each block of f it synthesized."""
     sizes = []
