@@ -385,8 +385,8 @@ def _run_bench(config: RunConfig) -> Report:
         for variant in (v for v in config.variants if v in KERNEL_VARIANTS[kernel]):
             t = time_kernel(kernel, variant, shape, config.reps, config.seed, config.threads)
             rows.append((config.case, kernel, variant, config.reps,
-                         t.median_s, t.min_s, t.checksum))
-    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "checksum")
+                         t.median_s, t.min_s, t.minflt_per_call, t.checksum))
+    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "minflt_per_call", "checksum")
     meta = _meta(config, case=config.case, reps=config.reps, threads=config.threads)
     return Report(columns, rows, meta)
 

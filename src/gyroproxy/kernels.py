@@ -23,13 +23,21 @@ Every kernel splits its output into disjoint slabs over ``threads``
 workers of one pool per thread count that lives for the whole process.
 A slab runs the same numpy calls it would on one thread, so the thread
 count never changes a result, bit for bit.
+
+A kernel returns an uninitialised array, written in full, that no live
+array shares memory with, drawn from recycled buffers: as with device
+arrays created once, a step pays no page faults for its outputs after
+its first run.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import resource
 import statistics
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,6 +64,29 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(threads, thread_name_prefix="gyroproxy")
 
 
+_buffers: dict = {}
+_buffers_lock = threading.Lock()
+
+
+def _fresh(shape, dtype=complex) -> np.ndarray:
+    """An uninitialised C-order array that no live array shares memory with.
+
+    Buffers are kept per (shape, dtype) and handed out again once nothing
+    refers to them: numpy points every derived view (reshape, slice,
+    .view(float), a memoryview's view) at the owning buffer, so the
+    owner's refcount counts them all, where a weakref would not.
+    """
+    key = (tuple(shape), np.dtype(dtype))
+    with _buffers_lock:
+        bufs = _buffers.setdefault(key, [])
+        for buf in bufs:
+            # at rest: the list, the loop variable and getrefcount's argument
+            if sys.getrefcount(buf) == 3:
+                return buf.view()
+        bufs.append(np.empty(*key))
+        return bufs[-1].view()
+
+
 def _split(n: int, threads: int, fn) -> None:
     """fn(lo, hi) over disjoint ranges covering 0..n, on min(threads, n) workers.
 
@@ -78,7 +109,7 @@ def field_kernel(h: np.ndarray, weights: np.ndarray, threads: int = 1) -> np.nda
     if weights.shape != h.shape[:3] or np.iscomplexobj(weights):
         raise ValueError(f"need real weights of shape {h.shape[:3]}, got {weights.dtype} {weights.shape}")
     h = np.ascontiguousarray(h, dtype=complex)
-    out = np.empty(h.shape[3:], dtype=complex)
+    out = _fresh(h.shape[3:])
     hf = h.view(float).reshape(weights.size, h.shape[3], -1).transpose(1, 0, 2)
     of = out.view(float).reshape(h.shape[3], -1)
     _split(len(of), threads, lambda lo, hi: np.matmul(weights.reshape(-1), hf[lo:hi], out=of[lo:hi]))
@@ -104,13 +135,14 @@ def stream_kernel(h: np.ndarray, stencil, variant: str = "optimized", threads: i
         raise ValueError(f"stencil width {w} exceeds n_theta {n_theta}")
     half = w // 2
     if variant == "original":
-        out = np.zeros_like(h)
+        out = _fresh(h.shape, h.dtype)
+        out[...] = 0
         for i, c in enumerate(stencil):
             out += c * np.roll(h, half - i, axis=3)
         return out
     circ = sum(c * np.roll(np.eye(n_theta), i - half, axis=1) for i, c in enumerate(stencil))
     h = np.ascontiguousarray(h, dtype=complex)
-    out = np.empty(h.shape, dtype=complex)
+    out = _fresh(h.shape)
     hf, of = (a.view(float).reshape(-1, n_theta, 2 * h.shape[4] * h.shape[5]) for a in (h, out))
     _split(len(hf), threads, lambda lo, hi: np.matmul(circ, hf[lo:hi], out=of[lo:hi]))
     return out
@@ -131,18 +163,23 @@ def shear_kernel(h: np.ndarray, shifts, variant: str = "optimized", threads: int
         raise ValueError("shifts exceed the radial extent")
 
     src = h.reshape(-1, n_ky, n_kx)
-    dst = np.zeros_like(src)
+    dst = _fresh(src.shape, src.dtype)
 
     def gather(lo, hi):
         for iy, s in enumerate(shifts):
             if s >= 0:
                 dst[lo:hi, iy, : n_kx - s] = src[lo:hi, iy, s:]
+                dst[lo:hi, iy, n_kx - s :] = 0
             else:
                 dst[lo:hi, iy, -s:] = src[lo:hi, iy, : n_kx + s]
+                dst[lo:hi, iy, :-s] = 0
 
     _split(len(src), threads, gather)
-    # the original gathers into scratch storage, then copies it out
-    return (dst.copy() if variant == "original" else dst).reshape(h.shape)
+    if variant == "original":  # gather into scratch storage, then copy it out
+        out = _fresh(src.shape, src.dtype)
+        np.copyto(out, dst)
+        dst = out
+    return dst.reshape(h.shape)
 
 
 def collision_kernel(h: np.ndarray, matrices: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -158,7 +195,7 @@ def collision_kernel(h: np.ndarray, matrices: np.ndarray, threads: int = 1) -> n
     if matrices.shape != (n_theta, m, m) or np.iscomplexobj(matrices):
         raise ValueError(f"need real matrices of shape {(n_theta, m, m)}, got {matrices.dtype} {matrices.shape}")
     h = np.ascontiguousarray(h, dtype=complex)
-    out = np.empty(h.shape, dtype=complex)
+    out = _fresh(h.shape)
     hf, of = (a.view(float).reshape(m, n_theta, -1).transpose(1, 0, 2) for a in (h, out))
     _split(n_theta, threads, lambda lo, hi: np.matmul(matrices[lo:hi], hf[lo:hi], out=of[lo:hi]))
     return out
@@ -181,7 +218,7 @@ def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) ->
     if phi.shape != (n_theta, n_ky, n_kx):
         raise ValueError(f"phi shape {phi.shape} != field dims {(n_theta, n_ky, n_kx)}")
     batch = h.reshape(-1, n_theta, n_ky, n_kx)
-    out = np.empty(batch.shape, dtype=complex)
+    out = _fresh(batch.shape)
     _split(len(batch), threads, lambda lo, hi: bracket(batch[lo:hi], phi, *plans, out=out[lo:hi]))
     return out.reshape(h.shape)
 
@@ -249,14 +286,16 @@ class KernelTiming:
     reps: int
     median_s: float
     min_s: float
+    minflt_per_call: float
     checksum: str
 
 
 def time_kernel(kernel: str, variant: str, shape: GridShape, reps: int, seed: int, threads: int = 1) -> KernelTiming:
-    """Median/min wallclock of a kernel over seeded data.
+    """Median/min wallclock and minor page faults per call of a kernel over seeded data.
 
-    One untimed warm-up run precedes the measured repetitions.  The
-    checksum of the final output defeats dead-code elimination and pins
+    One untimed warm-up run precedes the measured repetitions, each of
+    which reuses the buffer of the output dropped before it.  The checksum
+    of the final output defeats dead-code elimination and pins
     determinism: it depends only on (kernel, variant, shape, seed).
     """
     if reps < 3:
@@ -265,15 +304,19 @@ def time_kernel(kernel: str, variant: str, shape: GridShape, reps: int, seed: in
     inputs = make_kernel_inputs(shape, seed)
     out = run_kernel(kernel, h, inputs, variant, threads)
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
+        del out
         start = time.perf_counter()
         out = run_kernel(kernel, h, inputs, variant, threads)
         times.append(time.perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return KernelTiming(
         kernel=kernel,
         variant=variant,
         reps=reps,
         median_s=statistics.median(times),
         min_s=min(times),
+        minflt_per_call=faults / reps,
         checksum=checksum(out),
     )

@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gyroproxy import checks
@@ -42,11 +43,11 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+# Seed-major, so the kernel-oracle checks of one seed share the state
+# checks._seeded builds once.
 @pytest.mark.parametrize("name, seed", [
-    (name, seed)
-    for name in checks.CHECKS
-    for seed in (range(20) if name in KERNEL_ORACLES else (TOP_SEED,))
-])
+    (name, seed) for seed in range(20) for name in KERNEL_ORACLES
+] + [(name, TOP_SEED) for name in checks.CHECKS if name not in KERNEL_ORACLES])
 def test_check(name, seed):
     start = time.perf_counter()
     value, limit, ok = checks.CHECKS[name]("sh03b-desk", seed)
@@ -55,6 +56,15 @@ def test_check(name, seed):
     timing = f"{elapsed:.2f}s" + (f" (limit {budget}s)" if budget else "")
     report(name, ok and (budget is None or elapsed < budget),
            f"seed {seed}: value {value!r}, limit {limit!r}, {timing}")
+
+
+def test_seeded_inputs_are_shared_and_read_only():
+    h, inputs = checks._seeded("sh03b-desk", 3)
+    assert checks._seeded("sh03b-desk", 3)[0] is h
+    for a in (h, inputs["weights"], inputs["stencil"], inputs["shifts"], inputs["matrices"], inputs["phi"]):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    assert np.array_equal(h, random_state(make_case("sh03b-desk"), 3))
 
 
 def test_perfbench_tolerances_match_checks(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -370,6 +371,125 @@ def test_one_thread_makes_no_pool_call(monkeypatch):
         run_kernel(kernel, h, inputs, variant, threads=1)
 
 
+# ---------------------------------------------------------------------------
+# recycled output buffers
+
+#: Arrays derived from an output that keep its memory alive once the
+#: output itself is dropped: strided, float view, one row, memoryview.
+DERIVED = (lambda a: a.reshape(-1)[::3], lambda a: a.view(float), lambda a: a[0], memoryview)
+
+
+def data_pointer(a):
+    return a.__array_interface__["data"][0]
+
+
+def buffer_count():
+    return sum(map(len, kernels._buffers.values()))
+
+
+@pytest.fixture
+def no_buffers(monkeypatch):
+    """An empty buffer set for one test, dropped with everything it made."""
+    monkeypatch.setattr(kernels, "_buffers", {})
+
+
+@pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
+def test_outputs_never_share_memory_with_live_arrays(kernel, variant, no_buffers):
+    h, inputs = seeded(SMALL, 38)
+    held = run_kernel(kernel, h, inputs, variant)
+    assert not np.shares_memory(held, run_kernel(kernel, h, inputs, variant))
+    for derive in DERIVED:
+        kept = derive(run_kernel(kernel, h, inputs, variant))
+        before = np.array(kept)
+        assert not np.shares_memory(np.asarray(kept), run_kernel(kernel, h, inputs, variant))
+        assert np.array_equal(np.asarray(kept), before)
+    # fully dropped, an output's buffer serves the next call
+    pointer = data_pointer(held)
+    del held
+    assert data_pointer(run_kernel(kernel, h, inputs, variant)) == pointer
+
+
+def test_fresh_reuses_a_dropped_buffer(no_buffers):
+    # fails if the interpreter's refcounts stop reading as the allocator
+    # expects, so the reuse cannot stop without notice
+    a = kernels._fresh((3, 4))
+    pointer = data_pointer(a)
+    b = kernels._fresh((3, 4))
+    assert data_pointer(b) != pointer
+    del a
+    assert data_pointer(kernels._fresh((3, 4))) == pointer
+    assert data_pointer(kernels._fresh((3, 4), float)) != pointer
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shifts", [(2, -1, 0, 12), (-12, 3, -4, 0)], ids=["partial", "full"])
+def test_shear_overwrites_recycled_memory(variant, shifts, no_buffers):
+    h = random_state(SMALL, 39)
+    rows = (-1, SMALL.n_toroidal, SMALL.n_radial)
+    junk = [kernels._fresh(h.reshape(rows).shape) for _ in range(2)]  # scratch and output
+    for a in junk:
+        a[...] = np.nan
+    del junk, a
+    assert np.array_equal(shear_kernel(h, shifts, variant), shear_oracle(h, shifts))
+    assert buffer_count() == 2
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shear_keeps_a_real_dtype(variant):
+    h = random_state(SMALL, 40).real.copy()
+    shifts = (2, -1, 0, 3)
+    out = shear_kernel(h, shifts, variant)
+    assert out.dtype == h.dtype
+    assert np.array_equal(out, shear_oracle(h, shifts))
+
+
+def test_concurrent_callers_never_share_memory(no_buffers):
+    # more callers than cores, switching threads as often as the
+    # interpreter allows, each holding every output it gets
+    h, inputs = seeded(SMALL, 41)
+    held = [[] for _ in range(4)]
+
+    def call(outs):
+        for i in range(50):
+            kernel, variant = KERNEL_CASES[i % len(KERNEL_CASES)]
+            outs.append(run_kernel(kernel, h, inputs, variant))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=call, args=(outs,)) for outs in held]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    outs = [out for outs in held for out in outs]
+    assert len(outs) == 200
+    assert len({data_pointer(out) for out in outs}) == 200
+
+
+@pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
+def test_buffer_set_grows_to_the_outputs_held(kernel, variant, no_buffers):
+    # one more than the outputs held: shear's original gathers into scratch
+    h, inputs = seeded(SMALL, 42)
+    held = []
+    for _ in range(8):
+        held = held[-2:]
+        held.append(run_kernel(kernel, h, inputs, variant))
+        assert buffer_count() <= len(held) + 1
+
+
+@pytest.mark.parametrize("kernel", ["stream", "shear", "collision"])
+def test_timed_calls_reuse_their_output_memory(kernel):
+    # each call drops its output before the next, which reuses it, so a
+    # call faults in far fewer pages than its output covers
+    shape = make_case("sh03b-desk")
+    pages = np.prod(shape.dims) * 16 / 4096
+    assert time_kernel(kernel, "optimized", shape, reps=3, seed=43).minflt_per_call < pages / 10
+
+
 def test_run_kernel_rejects_unknown_names():
     h, inputs = seeded(SMALL, 23)
     with pytest.raises(ValueError):
@@ -420,6 +540,7 @@ def test_time_kernel_contract():
     assert isinstance(t, KernelTiming)
     assert t.reps == 3
     assert t.median_s >= t.min_s > 0.0
+    assert t.minflt_per_call >= 0.0
     h, inputs = seeded(SMALL, 7)
     assert t.checksum == checksum(run_kernel("shear", h, inputs, "optimized"))
     # checksum depends on the data, not on how often it was timed
