@@ -9,10 +9,12 @@ Subcommands:
 * ``comm-estimate``  communication plan search and per-dimension predictions
 * ``compare``        before/after speedup table from two bench reports
 
-All file output is UTF-8 CSV with a single ``#`` metadata header line,
-written via a temp file and atomic rename so a failed run leaves nothing
-behind.  Exit codes: 0 success, 2 invalid configuration or arguments,
-3 verification failure, 4 I/O failure.
+Each subparser validates its own arguments and names its handler, a
+``_run_*`` function that takes the parsed Namespace and returns a
+``Report``.  All file output is UTF-8 CSV with a single ``#`` metadata
+header line, written via a temp file and atomic rename so a failed run
+leaves nothing behind.  ``_EPILOG`` states the exit codes; ``--help``
+prints it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, checks
-from .commsim import VolumeModel, builtin_topology, load_topology, plan_decomposition, predict_report
+from .commsim import (VolumeModel, builtin_topology, load_topology, plan_decomposition,
+                      predict_report, topology_names)
 from .grid import make_case, case_names, substream
 from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, time_kernel
 from .padding import DEFAULT_PRIMES, factorize, plan_padded_size
@@ -53,33 +56,7 @@ exit codes:
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; rejected before any work or output."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated inputs for one subcommand invocation."""
-
-    command: str
-    case: str | None = None
-    kernels: tuple = ()
-    variants: tuple = ()
-    reps: int = 0
-    seed: int | None = None
-    out: str | None = None
-    topo: str | None = None
-    topo_file: str | None = None
-    ranks: int = 0
-    nodes: int = 0
-    rule: Fraction = Fraction(3, 2)
-    primes: tuple = DEFAULT_PRIMES
-    n_values: tuple = ()
-    sizes: tuple = ()
-    batch: int = 0
-    threads: int = 1
-    markdown: bool = False
-    before: str | None = None
-    after: str | None = None
+    """A request rejected while running, after the arguments parsed; exit 2."""
 
 
 @dataclass
@@ -132,16 +109,16 @@ class Report:
         return "\n".join(lines)
 
 
-def _meta(config: RunConfig, **extra) -> dict:
+def _meta(args: argparse.Namespace, **extra) -> dict:
     host = f"{platform.node()} {platform.system()} {platform.machine()} numpy-{np.__version__}"
     meta = {
         "tool": "gyroproxy",
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     }
-    if config.seed is None:
+    if meta["seed"] is None:
         del meta["seed"]
     meta.update(extra)
     meta["host"] = host
@@ -163,42 +140,64 @@ def _fmt(x) -> str:
 
 # ---------------------------------------------------------------------------
 # argument parsing and validation
+#
+# Each type= callable rejects a bad value with argparse.ArgumentTypeError,
+# so every argument error prints the subcommand's usage and exits 2.
 
 
-def _parse_int_list(text: str, what: str) -> tuple:
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high), or >= low without high."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
+
+
+def _int_list(low: int):
+    """argparse type: a non-empty comma-separated list of integers >= low."""
+    parse_one = _int_in(low)
+
+    def parse(text: str) -> tuple:
+        values = tuple(parse_one(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise argparse.ArgumentTypeError("must not be empty")
+        return values
+    return parse
+
+
+def _name_list(allowed: tuple):
+    """argparse type: a non-empty comma-separated list of distinct names from allowed."""
+    def parse(text: str) -> tuple:
+        names = tuple(part.strip() for part in text.split(",") if part.strip())
+        if not names:
+            raise argparse.ArgumentTypeError("must not be empty")
+        unknown = [name for name in names if name not in allowed]
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown {unknown}; expected from {allowed}")
+        if len(set(names)) != len(names):
+            raise argparse.ArgumentTypeError(f"duplicate entries: {text!r}")
+        return names
+    return parse
+
+
+def _rule(text: str) -> Fraction:
+    """argparse type: a padding rule, a fraction >= 1."""
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{what} must be a comma-separated integer list, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{what} must not be empty")
-    return values
+        rule = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if rule < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {rule}")
+    return rule
 
 
-def _parse_name_list(text: str, what: str, allowed: tuple) -> tuple:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise ConfigError(f"{what} must not be empty")
-    for name in names:
-        if name not in allowed:
-            raise ConfigError(f"unknown {what} {name!r}; expected from {allowed}")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate entries in {what}: {text!r}")
-    return names
-
-
-def _check_case(name: str) -> str:
-    try:
-        make_case(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return name
-
-
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+_SEED = _int_in(0, 2**64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,133 +211,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan-padding", help="plan padded transform sizes")
-    p.add_argument("--n", required=True, help="logical size(s), comma separated")
-    p.add_argument("--rule", default="3/2", help="padding rule as a fraction (default 3/2)")
-    p.add_argument("--primes", default="2,3,5,7", help="allowed prime factors")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true", help="print the table as markdown")
+    p.set_defaults(run=_run_plan_padding)
+    p.add_argument("--n", type=_int_list(1), required=True, help="logical size(s), comma separated")
+    p.add_argument("--rule", type=_rule, default="3/2", help="padding rule as a fraction (default 3/2)")
+    p.add_argument("--primes", type=_int_list(2), default=DEFAULT_PRIMES, help="allowed prime factors")
 
     p = sub.add_parser("fft-bench", help="time batched transforms by size")
-    p.add_argument("--sizes", default="719,720", help="transform lengths, comma separated")
-    p.add_argument("--batch", type=int, default=256, help="transforms per call (default 256)")
-    p.add_argument("--reps", type=int, default=9, help="timed repetitions (default 9, min 3)")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true")
+    p.set_defaults(run=_run_fft_bench)
+    p.add_argument("--sizes", type=_int_list(2), default="719,720", help="transform lengths, comma separated")
+    p.add_argument("--batch", type=_int_in(1), default=256, help="transforms per call (default 256)")
+    p.add_argument("--reps", type=_int_in(3), default=9, help="timed repetitions (default 9, min 3)")
+    p.add_argument("--seed", type=_SEED, default=1234)
 
     p = sub.add_parser("bench", help="time the proxy kernels")
-    p.add_argument("--case", required=True, help=f"grid case: {', '.join(case_names())}")
-    p.add_argument("--kernels", default=",".join(KERNEL_NAMES))
-    p.add_argument("--variants", default=",".join(VARIANTS))
-    p.add_argument("--reps", type=int, default=5, help="timed repetitions (default 5, min 3)")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true")
+    p.set_defaults(run=_run_bench)
+    p.add_argument("--case", required=True, choices=case_names())
+    p.add_argument("--kernels", type=_name_list(KERNEL_NAMES), default=KERNEL_NAMES)
+    p.add_argument("--variants", type=_name_list(VARIANTS), default=VARIANTS)
+    p.add_argument("--reps", type=_int_in(3), default=5, help="timed repetitions (default 5, min 3)")
+    p.add_argument("--seed", type=_SEED, default=1234)
+    p.add_argument("--threads", type=_int_in(1), default=1, help="worker threads (default 1)")
 
     p = sub.add_parser("verify", help="run the deterministic correctness battery")
-    p.add_argument("--case", default="sh03b-desk", help="grid case for sized checks")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true")
+    p.set_defaults(run=_run_verify)
+    p.add_argument("--case", default="sh03b-desk", choices=case_names(), help="grid case for sized checks")
+    p.add_argument("--seed", type=_SEED, default=1234)
 
     p = sub.add_parser("comm-estimate", help="plan and price the communication split")
-    p.add_argument("--case", required=True)
-    p.add_argument("--topo", help="builtin topology name")
-    p.add_argument("--topo-file", help="topology key=value file")
-    p.add_argument("--ranks", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true")
+    p.set_defaults(run=_run_comm_estimate)
+    p.add_argument("--case", required=True, choices=case_names())
+    topo = p.add_mutually_exclusive_group(required=True)
+    topo.add_argument("--topo", choices=topology_names(), help="builtin topology name")
+    topo.add_argument("--topo-file", help="topology key=value file")
+    p.add_argument("--ranks", type=_int_in(1), required=True)
+    p.add_argument("--nodes", type=_int_in(1), required=True)
 
     p = sub.add_parser("compare", help="speedups between two bench reports")
+    p.set_defaults(run=_run_compare)
     p.add_argument("--before", required=True, help="bench CSV taken first")
     p.add_argument("--after", required=True, help="bench CSV taken second")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--markdown", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="CSV output path")
+        p.add_argument("--markdown", action="store_true", help="print the table as markdown")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Validate parsed arguments into a RunConfig; no work happens here."""
-    cmd = args.command
-    if cmd == "plan-padding":
-        values = _parse_int_list(args.n, "--n")
-        if any(v < 1 for v in values):
-            raise ConfigError("--n values must be >= 1")
-        try:
-            rule = Fraction(args.rule)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"--rule must be a fraction, got {args.rule!r}") from None
-        if rule < 1:
-            raise ConfigError(f"--rule must be >= 1, got {rule}")
-        primes = _parse_int_list(args.primes, "--primes")
-        if any(p < 2 for p in primes):
-            raise ConfigError("--primes entries must be >= 2")
-        return RunConfig(command=cmd, n_values=values, rule=rule, primes=primes,
-                         out=args.out, markdown=args.markdown)
-    if cmd == "fft-bench":
-        sizes = _parse_int_list(args.sizes, "--sizes")
-        if any(s < 2 for s in sizes):
-            raise ConfigError("--sizes values must be >= 2")
-        if args.batch < 1:
-            raise ConfigError(f"--batch must be >= 1, got {args.batch}")
-        if args.reps < 3:
-            raise ConfigError(f"--reps must be >= 3, got {args.reps}")
-        return RunConfig(command=cmd, sizes=sizes, batch=args.batch, reps=args.reps,
-                         seed=_check_seed(args.seed), out=args.out, markdown=args.markdown)
-    if cmd == "bench":
-        if args.reps < 3:
-            raise ConfigError(f"--reps must be >= 3, got {args.reps}")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        kernels = _parse_name_list(args.kernels, "kernel", KERNEL_NAMES)
-        variants = _parse_name_list(args.variants, "variant", VARIANTS)
-        if not any(v in KERNEL_VARIANTS[k] for k in kernels for v in variants):
-            raise ConfigError(f"no kernel in {kernels} has a variant in {variants}; "
-                              "only stream and shear have 'original'")
-        return RunConfig(
-            command=cmd,
-            case=_check_case(args.case),
-            kernels=kernels,
-            variants=variants,
-            reps=args.reps,
-            seed=_check_seed(args.seed),
-            threads=args.threads,
-            out=args.out,
-            markdown=args.markdown,
-        )
-    if cmd == "verify":
-        return RunConfig(command=cmd, case=_check_case(args.case),
-                         seed=_check_seed(args.seed), out=args.out, markdown=args.markdown)
-    if cmd == "comm-estimate":
-        if bool(args.topo) == bool(args.topo_file):
-            raise ConfigError("give exactly one of --topo or --topo-file")
-        if args.topo:
-            try:
-                builtin_topology(args.topo)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if args.ranks < 1 or args.nodes < 1:
-            raise ConfigError("--ranks and --nodes must be >= 1")
-        return RunConfig(command=cmd, case=_check_case(args.case), topo=args.topo,
-                         topo_file=args.topo_file, ranks=args.ranks, nodes=args.nodes,
-                         out=args.out, markdown=args.markdown)
-    if cmd == "compare":
-        return RunConfig(command=cmd, before=args.before, after=args.after,
-                         out=args.out, markdown=args.markdown)
-    raise ConfigError(f"unknown command {cmd!r}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
-def _run_plan_padding(config: RunConfig) -> Report:
+def _run_plan_padding(args: argparse.Namespace) -> Report:
     rows = []
-    for n in config.n_values:
-        plan = plan_padded_size(n, rule=config.rule, allowed_primes=config.primes)
+    for n in args.n:
+        plan = plan_padded_size(n, rule=args.rule, allowed_primes=args.primes)
         rows.append((
             n,
             plan.n_min,
@@ -347,7 +273,7 @@ def _run_plan_padding(config: RunConfig) -> Report:
             plan.cost_score,
         ))
     columns = ("n_logical", "n_min", "n_padded", "factors", "score")
-    meta = _meta(config, rule=config.rule, primes="*".join(map(str, config.primes)))
+    meta = _meta(args, rule=args.rule, primes="*".join(map(str, args.primes)))
     return Report(columns, rows, meta)
 
 
@@ -363,10 +289,10 @@ def _time_batched_fft(size: int, batch: int, reps: int, seed: int):
     return statistics.median(times), min(times)
 
 
-def _run_fft_bench(config: RunConfig) -> Report:
+def _run_fft_bench(args: argparse.Namespace) -> Report:
     rows = []
-    for size in config.sizes:
-        median_s, min_s = _time_batched_fft(size, config.batch, config.reps, config.seed)
+    for size in args.sizes:
+        median_s, min_s = _time_batched_fft(size, args.batch, args.reps, args.seed)
         factors = factorize(size)
         rows.append((
             size,
@@ -375,34 +301,31 @@ def _run_fft_bench(config: RunConfig) -> Report:
             min_s,
         ))
     columns = ("size", "factors", "median_seconds", "min_seconds")
-    return Report(columns, rows, _meta(config, batch=config.batch, reps=config.reps))
+    return Report(columns, rows, _meta(args, batch=args.batch, reps=args.reps))
 
 
-def _run_bench(config: RunConfig) -> Report:
-    shape = make_case(config.case)
+def _run_bench(args: argparse.Namespace) -> Report:
+    shape = make_case(args.case)
     rows = []
-    for kernel in config.kernels:
-        for variant in (v for v in config.variants if v in KERNEL_VARIANTS[kernel]):
-            t = time_kernel(kernel, variant, shape, config.reps, config.seed, config.threads)
-            rows.append((config.case, kernel, variant, config.reps,
+    for kernel in args.kernels:
+        for variant in (v for v in args.variants if v in KERNEL_VARIANTS[kernel]):
+            t = time_kernel(kernel, variant, shape, args.reps, args.seed, args.threads)
+            rows.append((args.case, kernel, variant, args.reps,
                          t.median_s, t.min_s, t.minflt_per_call, t.checksum))
+    if not rows:
+        raise ConfigError(f"no kernel in {args.kernels} has a variant in {args.variants}; " + "; ".join(
+            f"only {' and '.join(k for k in KERNEL_NAMES if v in KERNEL_VARIANTS[k])} have {v!r}"
+            for v in args.variants))
     columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "minflt_per_call", "checksum")
-    meta = _meta(config, case=config.case, reps=config.reps, threads=config.threads)
+    meta = _meta(args, case=args.case, reps=args.reps, threads=args.threads)
     return Report(columns, rows, meta)
 
 
-def _run_comm_estimate(config: RunConfig) -> Report:
-    shape = make_case(config.case)
-    if config.topo:
-        topo = builtin_topology(config.topo)
-    else:
-        try:
-            topo = load_topology(config.topo_file)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    vm = VolumeModel.from_shape(shape)
+def _run_comm_estimate(args: argparse.Namespace) -> Report:
+    shape = make_case(args.case)
     try:
-        plan = plan_decomposition(vm, config.ranks, config.nodes, topo)
+        topo = load_topology(args.topo_file) if args.topo_file else builtin_topology(args.topo)
+        plan = plan_decomposition(VolumeModel.from_shape(shape), args.ranks, args.nodes, topo)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rows = [
@@ -410,11 +333,11 @@ def _run_comm_estimate(config: RunConfig) -> Report:
         for p in predict_report(shape, topo, plan)
     ]
     meta = _meta(
-        config,
-        case=config.case,
+        args,
+        case=args.case,
         topology=topo.name,
-        ranks=config.ranks,
-        nodes=config.nodes,
+        ranks=args.ranks,
+        nodes=args.nodes,
         n1=plan.n1,
         n2=plan.n2,
         placement=plan.placement,
@@ -465,16 +388,16 @@ def summarize(before: dict, after: dict) -> list:
     return rows
 
 
-def _run_compare(config: RunConfig) -> Report:
-    before = _read_bench_medians(config.before)
-    after = _read_bench_medians(config.after)
+def _run_compare(args: argparse.Namespace) -> Report:
+    before = _read_bench_medians(args.before)
+    after = _read_bench_medians(args.after)
     rows = summarize(before, after)
     columns = ("case", "kernel", "variant", "before_s", "after_s", "ratio")
-    return Report(columns, rows, _meta(config, before=config.before, after=config.after))
+    return Report(columns, rows, _meta(args, before=args.before, after=args.after))
 
 
-def _run_verify(config: RunConfig) -> tuple:
-    """Run every check in checks.CHECKS; returns (report, failures).
+def _run_verify(args: argparse.Namespace) -> Report:
+    """Run every check in checks.CHECKS, one row each.
 
     Wallclock goes in its own column, so the reports of two runs with one
     case and seed differ nowhere else.
@@ -482,61 +405,42 @@ def _run_verify(config: RunConfig) -> tuple:
     rows = []
     for name, check in checks.CHECKS.items():
         start = time.perf_counter()
-        value, limit, ok = check(config.case, config.seed)
+        value, limit, ok = check(args.case, args.seed)
         seconds = time.perf_counter() - start
-        rows.append((name, config.case, "pass" if ok else "fail", value, limit,
+        rows.append((name, args.case, "pass" if ok else "fail", value, limit,
                      checks.margin(value, limit, ok), f"{seconds:.6f}"))
     columns = ("check", "case", "status", "value", "limit", "margin", "seconds")
-    report = Report(columns, rows, _meta(config, case=config.case, checks=len(rows)))
-    return report, sum(row[2] == "fail" for row in rows)
+    return Report(columns, rows, _meta(args, case=args.case, checks=len(rows)))
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute a validated config; returns (report, exit_code)."""
-    if config.command == "plan-padding":
-        return _run_plan_padding(config), EXIT_OK
-    if config.command == "fft-bench":
-        return _run_fft_bench(config), EXIT_OK
-    if config.command == "bench":
-        return _run_bench(config), EXIT_OK
-    if config.command == "verify":
-        report, failures = _run_verify(config)
-        return report, EXIT_VERIFY if failures else EXIT_OK
-    if config.command == "comm-estimate":
-        return _run_comm_estimate(config), EXIT_OK
-    if config.command == "compare":
-        return _run_compare(config), EXIT_OK
-    raise ConfigError(f"unknown command {config.command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; an argument error exits 2 from inside argparse."""
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        report, code = run(config)
+        report = args.run(args)
     except ConfigError as exc:
         print(f"gyroproxy: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"gyroproxy: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(report.markdown() if config.markdown else report.plain())
-    if config.command == "verify":
-        passed = sum(1 for row in report.rows if row[2] == "pass")
-        status = "PASS" if code == EXIT_OK else "FAIL"
-        print(f"{status} ({passed}/{len(report.rows)} checks)")
-    if config.out:
+    print(report.markdown() if args.markdown else report.plain())
+    code = EXIT_OK
+    if args.command == "verify":
+        passed = sum(row[2] == "pass" for row in report.rows)
+        code = EXIT_OK if passed == len(report.rows) else EXIT_VERIFY
+        print(f"{'PASS' if code == EXIT_OK else 'FAIL'} ({passed}/{len(report.rows)} checks)")
+    if args.out:
         try:
-            report.write(config.out)
+            report.write(args.out)
         except OSError as exc:
             print(f"gyroproxy: I/O error: {exc}", file=sys.stderr)
             return EXIT_IO
-        print(f"wrote {config.out}")
+        print(f"wrote {args.out}")
     return code
 
 

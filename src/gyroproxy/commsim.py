@@ -34,7 +34,7 @@ Bandwidths are decimal: 1 GB/s = 1e9 bytes/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,16 @@ _BUILTIN = {
 }
 
 
+def topology_names() -> tuple[str, ...]:
+    return tuple(sorted(_BUILTIN))
+
+
 def builtin_topology(name: str) -> MachineTopology:
     """One of the two reference machine models, by name."""
     try:
         return _BUILTIN[name]
     except KeyError:
-        known = ", ".join(sorted(_BUILTIN))
-        raise ValueError(f"unknown topology {name!r}; builtins: {known}") from None
+        raise ValueError(f"unknown topology {name!r}; builtins: {', '.join(topology_names())}") from None
 
 
 def load_topology(path) -> MachineTopology:
@@ -375,11 +378,3 @@ def natural_plan(total_ranks: int, nodes: int, topo: MachineTopology) -> CommPla
         raise ValueError(f"{total_ranks} ranks do not fill {nodes} node(s) evenly")
     return CommPlan(u, total_ranks // u, ranks_per_node=u)
 
-
-def zeroed(topo: MachineTopology) -> MachineTopology:
-    """Copy of a topology with calibration knobs neutralized.
-
-    With no latency penalty and unit contention, shared_bus and per_gpu
-    layouts with equal bandwidth figures predict identical times.
-    """
-    return replace(topo, shared_bus_latency_penalty=0.0, shared_bus_contention=1.0)

@@ -1,8 +1,8 @@
 """The session's two verify runs, shared by the CLI and acceptance tests.
 
 The battery is the slowest thing the CLI does, so it runs once through
-``run()`` and once through ``main()``; the determinism test compares the
-two reports.
+its handler and once through ``main()``; the determinism test compares
+the two reports.
 """
 
 import contextlib
@@ -11,15 +11,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from gyroproxy.cli import RunConfig, main, run
+from gyroproxy.cli import build_parser, main
 
 
 @pytest.fixture(scope="session")
 def verify_outcome(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify") / "verify.csv"
-    report, code = run(RunConfig(command="verify", case="sh03b-desk", seed=1234))
+    args = build_parser().parse_args(["verify", "--case", "sh03b-desk", "--seed", "1234"])
+    report = args.run(args)
     report.write(str(out))
-    return SimpleNamespace(report=report, code=code, out=out)
+    return SimpleNamespace(report=report, out=out)
 
 
 @pytest.fixture(scope="session")

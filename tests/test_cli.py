@@ -13,17 +13,23 @@ from gyroproxy.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    ConfigError,
     Report,
     build_parser,
-    config_from_args,
     main,
     summarize,
 )
 
 
 def parse_args(argv):
-    return config_from_args(build_parser().parse_args(argv))
+    return build_parser().parse_args(argv)
+
+
+def exit_code(argv):
+    """main's exit status, whether it returns or argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_report(path):
@@ -47,12 +53,17 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point_runs():
-    # python -m gyroproxy from a source tree, without an install
+    # python -m gyroproxy from a source tree, without an install; an argument
+    # error leaves main as argparse's SystemExit(2)
     env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "gyroproxy", "plan-padding", "--n", "480"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "720" in proc.stdout
+    for argv, code, stream, text in [
+        (["plan-padding", "--n", "480"], EXIT_OK, "stdout", "720"),
+        (["bench", "--case", "nope"], EXIT_CONFIG, "stderr", "error"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "gyroproxy", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert text in getattr(proc, stream)
 
 
 def test_subcommand_required():
@@ -62,10 +73,10 @@ def test_subcommand_required():
 
 
 def test_plan_padding_args_roundtrip():
-    config = parse_args(["plan-padding", "--n", "48,479", "--rule", "5/3", "--primes", "2,3"])
-    assert config.n_values == (48, 479)
-    assert config.rule == Fraction(5, 3)
-    assert config.primes == (2, 3)
+    args = parse_args(["plan-padding", "--n", "48,479", "--rule", "5/3", "--primes", "2,3"])
+    assert args.n == (48, 479)
+    assert args.rule == Fraction(5, 3)
+    assert args.primes == (2, 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -91,20 +102,24 @@ def test_plan_padding_args_roundtrip():
     ["comm-estimate", "--case", "sh03b", "--topo", "summit", "--ranks", "24", "--nodes", "6"],
     ["comm-estimate", "--case", "sh03b", "--topo", "perlmutter_like", "--ranks", "0", "--nodes", "6"],
 ])
-def test_invalid_configurations_rejected(argv):
-    with pytest.raises(ConfigError):
-        parse_args(argv)
-
-
-def test_invalid_configuration_exit_code(capsys):
-    assert main(["bench", "--case", "nope"]) == EXIT_CONFIG
+def test_invalid_configurations_rejected(argv, capsys):
+    assert exit_code(argv) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
 
 
-def test_topo_and_topo_file_mutually_exclusive():
-    with pytest.raises(ConfigError):
-        parse_args(["comm-estimate", "--case", "sh03b", "--topo", "perlmutter_like",
-                    "--topo-file", "x.topo", "--ranks", "24", "--nodes", "6"])
+def test_invalid_configuration_exit_code(capsys):
+    # a rejection found while running returns 2 from main; argparse is not involved
+    assert main(["bench", "--case", "sh03b-desk", "--kernels", "collision",
+                 "--variants", "original"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("gyroproxy: error: ")
+    assert "only stream and shear have 'original'" in err
+
+
+def test_topo_and_topo_file_mutually_exclusive(capsys):
+    assert exit_code(["comm-estimate", "--case", "sh03b", "--topo", "perlmutter_like",
+                      "--topo-file", "x.topo", "--ranks", "24", "--nodes", "6"]) == EXIT_CONFIG
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_threads_default_is_one():
@@ -379,7 +394,6 @@ def test_comm_estimate_missing_topology_file(tmp_path):
 
 
 def test_verify_all_checks_pass(verify_outcome):
-    assert verify_outcome.code == EXIT_OK
     assert all(row[2] == "pass" for row in verify_outcome.report.rows)
 
 

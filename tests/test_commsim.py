@@ -19,7 +19,6 @@ from gyroproxy.commsim import (
     natural_plan,
     plan_decomposition,
     predict_report,
-    zeroed,
 )
 from gyroproxy.grid import make_case
 from gyroproxy.oracles import comm_pair_fractions_oracle
@@ -233,7 +232,7 @@ def test_time_monotone_in_bytes():
 
 def test_neutralized_shared_bus_equals_dedicated():
     """With latency and contention switched off only bandwidths matter."""
-    flat = zeroed(PERL)
+    flat = dataclasses.replace(PERL, shared_bus_latency_penalty=0.0, shared_bus_contention=1.0)
     dedicated = dataclasses.replace(flat, nic_layout="per_gpu")
     for kind, plan in [("alltoall", PLAN_S), ("allreduce", PLAN_S)]:
         for v in (1e6, 1e9):

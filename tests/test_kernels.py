@@ -470,6 +470,21 @@ def test_concurrent_callers_never_share_memory(no_buffers):
     assert len({data_pointer(out) for out in outs}) == 200
 
 
+def test_fresh_waits_for_the_buffer_lock(no_buffers):
+    # the stress test above cannot split _fresh's check-then-take under the
+    # GIL, so this pins the lock itself: a caller blocks while it is held
+    got = []
+    with kernels._buffers_lock:
+        caller = threading.Thread(target=lambda: got.append(kernels._fresh((3, 5))))
+        caller.start()
+        caller.join(0.2)
+        assert caller.is_alive()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert len(got) == 1 and got[0].shape == (3, 5)
+    assert buffer_count() == 1
+
+
 @pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
 def test_buffer_set_grows_to_the_outputs_held(kernel, variant, no_buffers):
     # one more than the outputs held: shear's original gathers into scratch
