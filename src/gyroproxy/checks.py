@@ -34,7 +34,7 @@ from .commsim import (
     plan_decomposition,
 )
 from .grid import component_mean_abs, make_case, random_state, substream
-from .kernels import KERNEL_NAMES, checksum, make_kernel_inputs, run_kernel, time_kernel
+from .kernels import KERNEL_NAMES, checksum, make_kernel_inputs, run_kernel, time_calls
 from .padding import cost_score, dealias_minimum, factorize, naive_padded_size, plan_padded_size
 from .spectral import bracket, bracket_plans, random_spectrum, to_real, to_spectrum
 
@@ -285,12 +285,9 @@ def comm_planner_intra(case, seed):
 
 def kernel_checksums(case, seed):
     """Kernels whose timed-run checksum differs from a direct run's."""
-    shape = make_case(case)
     h, inputs = _seeded(case, seed)
-    bad = 0
-    for kernel in KERNEL_NAMES:
-        timed = time_kernel(kernel, "optimized", shape, 3, seed).checksum
-        bad += timed != checksum(run_kernel(kernel, h, inputs))
+    timed = time_calls({kernel: functools.partial(run_kernel, kernel, h, inputs) for kernel in KERNEL_NAMES}, 3)
+    bad = sum(t.checksum != checksum(run_kernel(kernel, h, inputs)) for kernel, t in timed.items())
     return bad, 0, bad == 0
 
 

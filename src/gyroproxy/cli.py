@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import platform
-import statistics
 import sys
 import tempfile
 import time
@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__, checks
 from .commsim import (VolumeModel, builtin_topology, load_topology, plan_decomposition,
                       predict_report, topology_names)
-from .grid import make_case, case_names, substream
-from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, time_kernel
+from .grid import make_case, case_names, random_state, substream
+from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, make_kernel_inputs, run_kernel, time_calls
 from .padding import DEFAULT_PRIMES, factorize, plan_padded_size
 
 EXIT_OK = 0
@@ -277,46 +277,34 @@ def _run_plan_padding(args: argparse.Namespace) -> Report:
     return Report(columns, rows, meta)
 
 
-def _time_batched_fft(size: int, batch: int, reps: int, seed: int):
-    gen = substream(seed, 5)
-    spec = gen.standard_normal((batch, size // 2 + 1)) + 1j * gen.standard_normal((batch, size // 2 + 1))
-    np.fft.irfft(spec, n=size, axis=-1)
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        np.fft.irfft(spec, n=size, axis=-1)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), min(times)
-
-
 def _run_fft_bench(args: argparse.Namespace) -> Report:
-    rows = []
+    calls = []
     for size in args.sizes:
-        median_s, min_s = _time_batched_fft(size, args.batch, args.reps, args.seed)
-        factors = factorize(size)
-        rows.append((
-            size,
-            "*".join(str(f) for f in factors),
-            median_s,
-            min_s,
-        ))
-    columns = ("size", "factors", "median_seconds", "min_seconds")
+        gen = substream(args.seed, 5)
+        bins = (args.batch, size // 2 + 1)
+        spec = gen.standard_normal(bins) + 1j * gen.standard_normal(bins)
+        calls.append(functools.partial(np.fft.irfft, spec, n=size, axis=-1))
+    timings = time_calls(dict(enumerate(calls)), args.reps)
+    rows = [(size, "*".join(str(f) for f in factorize(size)), t.median_s, t.min_s, t.iqr_s)
+            for size, t in zip(args.sizes, timings.values())]
+    columns = ("size", "factors", "median_seconds", "min_seconds", "iqr_seconds")
     return Report(columns, rows, _meta(args, batch=args.batch, reps=args.reps))
 
 
 def _run_bench(args: argparse.Namespace) -> Report:
-    shape = make_case(args.case)
-    rows = []
-    for kernel in args.kernels:
-        for variant in (v for v in args.variants if v in KERNEL_VARIANTS[kernel]):
-            t = time_kernel(kernel, variant, shape, args.reps, args.seed, args.threads)
-            rows.append((args.case, kernel, variant, args.reps,
-                         t.median_s, t.min_s, t.minflt_per_call, t.checksum))
-    if not rows:
+    pairs = [(kernel, variant) for kernel in args.kernels for variant in args.variants
+             if variant in KERNEL_VARIANTS[kernel]]
+    if not pairs:
         raise ConfigError(f"no kernel in {args.kernels} has a variant in {args.variants}; " + "; ".join(
             f"only {' and '.join(k for k in KERNEL_NAMES if v in KERNEL_VARIANTS[k])} have {v!r}"
             for v in args.variants))
-    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "minflt_per_call", "checksum")
+    shape = make_case(args.case)
+    h = random_state(shape, args.seed)
+    inputs = make_kernel_inputs(shape, args.seed)
+    calls = {(k, v): functools.partial(run_kernel, k, h, inputs, v, args.threads) for k, v in pairs}
+    rows = [(args.case, kernel, variant, args.reps, t.median_s, t.min_s, t.iqr_s, t.minflt_per_call, t.checksum)
+            for (kernel, variant), t in time_calls(calls, args.reps).items()]
+    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "checksum")
     meta = _meta(args, case=args.case, reps=args.reps, threads=args.threads)
     return Report(columns, rows, meta)
 

@@ -34,7 +34,8 @@ Bandwidths are decimal: 1 GB/s = 1e9 bytes/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -126,14 +127,11 @@ def builtin_topology(name: str) -> MachineTopology:
 def load_topology(path) -> MachineTopology:
     """Read a topology from a key=value text file.
 
-    One field per line, ``#`` starts a comment.  Required keys:
-    gpus_per_node, intra_node_links, intra_link_gbps, nic_layout,
-    nics_per_node, nic_bandwidth.  Optional: name, processes_per_gpu,
-    shared_bus_latency_penalty, shared_bus_contention.
+    One MachineTopology field per line, ``#`` starts a comment.  A field
+    with no default is required, except name, which defaults to the path.
     """
-    ints = {"gpus_per_node", "intra_node_links", "nics_per_node", "processes_per_gpu"}
-    floats = {"intra_link_gbps", "nic_bandwidth", "shared_bus_latency_penalty", "shared_bus_contention"}
-    fields: dict = {}
+    types = typing.get_type_hints(MachineTopology)
+    values: dict = {"name": str(path)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -141,22 +139,17 @@ def load_topology(path) -> MachineTopology:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in ints:
-                fields[key] = int(value)
-            elif key in floats:
-                fields[key] = float(value)
-            elif key in ("name", "nic_layout"):
-                fields[key] = value
-            else:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown topology field {key!r}")
-    missing = {"gpus_per_node", "intra_node_links", "intra_link_gbps",
-               "nic_layout", "nics_per_node", "nic_bandwidth"} - fields.keys()
+            try:
+                values[key] = types[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {types[key].__name__}, got {value!r}") from None
+    missing = [f.name for f in fields(MachineTopology) if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing topology fields: {', '.join(sorted(missing))}")
-    fields.setdefault("name", str(path))
-    return MachineTopology(**fields)
+    return MachineTopology(**values)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,12 @@ A kernel returns an uninitialised array, written in full, that no live
 array shares memory with, drawn from recycled buffers: as with device
 arrays created once, a step pays no page faults for its outputs after
 its first run.
+
+``time_calls`` is the one timing loop: ``bench``, ``fft-bench``, ``verify``
+and the optimization gate all time through it.  It runs the callables it
+is given interleaved, rep by rep, each timed call after an untimed call
+of the same callable, and counts minor page faults around the timed
+calls only.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridShape, random_complex, random_state, substream
+from .grid import GridShape, random_complex, substream
 from .spectral import bracket, bracket_plans
 
 KERNEL_NAMES = ("field", "stream", "shear", "collision", "nonlinear")
@@ -280,43 +286,47 @@ def checksum(values: np.ndarray) -> str:
 
 
 @dataclass(frozen=True)
-class KernelTiming:
-    kernel: str
-    variant: str
+class Timing:
+    """Seconds and minor page faults over one callable's timed calls."""
+
     reps: int
     median_s: float
     min_s: float
+    iqr_s: float
     minflt_per_call: float
     checksum: str
 
 
-def time_kernel(kernel: str, variant: str, shape: GridShape, reps: int, seed: int, threads: int = 1) -> KernelTiming:
-    """Median/min wallclock and minor page faults per call of a kernel over seeded data.
+def time_calls(calls: dict, reps: int) -> dict:
+    """Time zero-argument callables against each other: label -> Timing.
 
-    One untimed warm-up run precedes the measured repetitions, each of
-    which reuses the buffer of the output dropped before it.  The checksum
-    of the final output defeats dead-code elimination and pins
-    determinism: it depends only on (kernel, variant, shape, seed).
+    The callables run interleaved, rep by rep, so host drift falls on all
+    alike.  Each timed call follows an untimed call of the same callable:
+    callables allocate differently, and a call timed straight after
+    another pays page faults for the heap that one left behind.  Each
+    output is dropped outside the timed interval, before the next call
+    starts, so a kernel reuses its buffer (see _fresh).  Minor page faults
+    are read with getrusage around each timed call only.  The checksum of
+    the last rep's output pins what was timed.
     """
     if reps < 3:
         raise ValueError(f"reps must be >= 3, got {reps}")
-    h = random_state(shape, seed)
-    inputs = make_kernel_inputs(shape, seed)
-    out = run_kernel(kernel, h, inputs, variant, threads)
-    times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(reps):
-        del out
-        start = time.perf_counter()
-        out = run_kernel(kernel, h, inputs, variant, threads)
-        times.append(time.perf_counter() - start)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return KernelTiming(
-        kernel=kernel,
-        variant=variant,
-        reps=reps,
-        median_s=statistics.median(times),
-        min_s=min(times),
-        minflt_per_call=faults / reps,
-        checksum=checksum(out),
-    )
+    times = {label: [] for label in calls}
+    faults = dict.fromkeys(calls, 0)
+    digests = {}
+    for rep in range(reps):
+        for label, call in calls.items():
+            call()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            out = call()
+            times[label].append(time.perf_counter() - start)
+            faults[label] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            if rep == reps - 1:
+                digests[label] = checksum(out)
+            del out
+    timings = {}
+    for label, t in times.items():
+        q1, _, q3 = statistics.quantiles(t, n=4)
+        timings[label] = Timing(reps, statistics.median(t), min(t), q3 - q1, faults[label] / reps, digests[label])
+    return timings

@@ -43,7 +43,7 @@ import functools
 
 import numpy as np
 
-from .padding import PaddedPlan, dealias_minimum, plan_padded_size, DEFAULT_PRIMES, DEFAULT_RULE
+from .padding import PaddedPlan, dealias_minimum, plan_padded_size, DEFAULT_RULE
 
 
 def kx_values(n_kx: int) -> np.ndarray:
@@ -179,15 +179,13 @@ def min_padded_y(n_ky: int) -> int:
     return 3 * n_ky - 2
 
 
-def bracket_plans(n_kx: int, n_ky: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_PRIMES):
+def bracket_plans(n_kx: int, n_ky: int):
     """Padded-size plans (plan_x, plan_y) for bracket on an n_kx x n_ky spectrum.
 
     The y plan is built from the full signed toroidal extent 2*n_ky - 1,
     which is what the dealias rule applies to for a half spectrum.
     """
-    plan_x = plan_padded_size(n_kx, rule, allowed_primes)
-    plan_y = plan_padded_size(2 * n_ky - 1, rule, allowed_primes)
-    return plan_x, plan_y
+    return plan_padded_size(n_kx), plan_padded_size(2 * n_ky - 1)
 
 
 def _plan_size(plan) -> int:

@@ -10,9 +10,9 @@ same as shipping a regression.
 """
 
 import csv
+import functools
 import importlib.util
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -22,7 +22,7 @@ import pytest
 
 from gyroproxy import checks
 from gyroproxy.grid import make_case, random_state
-from gyroproxy.kernels import make_kernel_inputs, run_kernel
+from gyroproxy.kernels import make_kernel_inputs, run_kernel, time_calls
 from gyroproxy.cli import build_parser
 
 DATA = Path(__file__).parent / "data"
@@ -92,29 +92,6 @@ def test_prime_size_elimination():
            f"factors {rows[719][1]} vs {rows[720][1]}")
 
 
-def interleaved_medians(kernel, h, inputs, reps):
-    """Median seconds of the original and optimized variants, timed ABAB.
-
-    Both variants run on the same state and inputs, alternating rep by
-    rep, so host drift falls on both alike.  Each timed call follows an
-    untimed call of the same variant: the variants allocate differently,
-    and a call timed straight after the other one pays page faults for
-    the heap that one left behind (stream's optimized variant took ~1600
-    minor faults per call that way, against none after itself).  Each
-    output is released outside the timed interval.
-    """
-    variants = ("original", "optimized")
-    times = {variant: [] for variant in variants}
-    for _ in range(reps):
-        for variant in variants:
-            run_kernel(kernel, h, inputs, variant)
-            start = time.perf_counter()
-            out = run_kernel(kernel, h, inputs, variant)
-            times[variant].append(time.perf_counter() - start)
-            del out
-    return tuple(statistics.median(times[variant]) for variant in variants)
-
-
 def test_optimization_direction():
     """Optimized stream/shear at least match the originals on this machine,
     with the committed reference floors as the hard gate."""
@@ -126,13 +103,15 @@ def test_optimization_direction():
     lines = []
     ok = True
     for kernel in ("stream", "shear"):
-        orig, opt = interleaved_medians(kernel, h, inputs, reps)
+        timed = time_calls({variant: functools.partial(run_kernel, kernel, h, inputs, variant)
+                            for variant in ("original", "optimized")}, reps)
+        orig, opt = timed["original"].median_s, timed["optimized"].median_s
         floor = floors["floors"][kernel]
         within_noise = opt <= 1.10 * orig
         above_floor = orig / opt >= floor
         ok = ok and within_noise and above_floor
         lines.append(f"{kernel} {orig / opt:.2f}x (floor {floor}, "
-                     f"opt<=1.10*orig {within_noise})")
+                     f"opt<=1.10*orig {within_noise}, original {timed['original'].minflt_per_call:.0f} faults/call)")
     report("optimization direction", ok, "; ".join(lines))
 
 

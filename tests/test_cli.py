@@ -66,6 +66,17 @@ def test_module_entry_point_runs():
         assert text in getattr(proc, stream)
 
 
+def test_verify_passes_under_another_blas_core_type():
+    # numpy's bundled OpenBLAS picks its kernel set per process from
+    # OPENBLAS_CORETYPE; the battery must hold on a non-default one too
+    env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]),
+               OPENBLAS_CORETYPE="Nehalem")
+    proc = subprocess.run([sys.executable, "-m", "gyroproxy", "verify", "--case", "sh03b-desk"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert "PASS (19/19 checks)" in proc.stdout
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
@@ -203,6 +214,7 @@ def test_fft_bench_report(tmp_path, capsys):
     assert rows[1]["factors"] == "2*2*2*2*2"
     for r in rows:
         assert float(r["median_seconds"]) >= float(r["min_seconds"]) > 0.0
+        assert float(r["iqr_seconds"]) >= 0.0
 
 
 def test_bench_report_schema_and_determinism(tmp_path):
@@ -215,7 +227,7 @@ def test_bench_report_schema_and_determinism(tmp_path):
     _, rows_b = read_report(b)
     assert "case=sh03b-desk" in meta
     assert list(rows_a[0]) == ["case", "kernel", "variant", "reps",
-                               "median_s", "min_s", "minflt_per_call", "checksum"]
+                               "median_s", "min_s", "iqr_s", "minflt_per_call", "checksum"]
     assert [r["kernel"] for r in rows_a] == ["field", "shear"]
     # timings move between runs; checksums must not
     for ra, rb in zip(rows_a, rows_b):
@@ -323,9 +335,9 @@ def test_comm_estimate_records_chosen_plan(tmp_path, capsys):
 NUMERIC_COLUMNS = {
     "plan-padding": (["--n", "48,479"], ("n_logical", "n_min", "n_padded", "score")),
     "fft-bench": (["--sizes", "30,32", "--batch", "4", "--reps", "3"],
-                  ("size", "median_seconds", "min_seconds")),
+                  ("size", "median_seconds", "min_seconds", "iqr_seconds")),
     "bench": (["--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3"],
-              ("reps", "median_s", "min_s", "minflt_per_call")),
+              ("reps", "median_s", "min_s", "iqr_s", "minflt_per_call")),
     "verify": ([], ("value", "limit", "margin", "seconds")),
     "comm-estimate": (["--case", "sh03b", "--topo", "perlmutter_like",
                        "--ranks", "24", "--nodes", "6"], ("bytes", "seconds")),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,11 @@ def test_load_topology_errors(tmp_path):
     malformed.write_text("gpus_per_node 4\n")
     with pytest.raises(ValueError, match="key=value"):
         load_topology(malformed)
+
+    unparsable = tmp_path / "float.topo"
+    unparsable.write_text("# counts are integers\ngpus_per_node=4.0\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(unparsable))}:2: gpus_per_node"):
+        load_topology(unparsable)
 
 
 # ---------------------------------------------------------------------------

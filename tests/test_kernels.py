@@ -1,5 +1,7 @@
+import functools
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from gyroproxy.kernels import (
     KERNEL_NAMES,
     KERNEL_VARIANTS,
     VARIANTS,
-    KernelTiming,
+    Timing,
     checksum,
     collision_kernel,
     field_kernel,
@@ -21,7 +23,7 @@ from gyroproxy.kernels import (
     run_kernel,
     shear_kernel,
     stream_kernel,
-    time_kernel,
+    time_calls,
 )
 from gyroproxy.oracles import (
     bracket_convolution_oracle,
@@ -502,7 +504,9 @@ def test_timed_calls_reuse_their_output_memory(kernel):
     # call faults in far fewer pages than its output covers
     shape = make_case("sh03b-desk")
     pages = np.prod(shape.dims) * 16 / 4096
-    assert time_kernel(kernel, "optimized", shape, reps=3, seed=43).minflt_per_call < pages / 10
+    h, inputs = seeded(shape, 43)
+    timed = time_calls({kernel: functools.partial(run_kernel, kernel, h, inputs)}, reps=3)
+    assert timed[kernel].minflt_per_call < pages / 10
 
 
 def test_run_kernel_rejects_unknown_names():
@@ -550,21 +554,46 @@ def test_checksum_sensitivity():
     assert len(z23) == 16
 
 
-def test_time_kernel_contract():
-    t = time_kernel("shear", "optimized", SMALL, reps=3, seed=7)
-    assert isinstance(t, KernelTiming)
+def test_time_calls_contract():
+    h, inputs = seeded(SMALL, 7)
+    call = functools.partial(run_kernel, "shear", h, inputs, "optimized")
+    t = time_calls({"shear": call}, reps=3)["shear"]
+    assert isinstance(t, Timing)
     assert t.reps == 3
     assert t.median_s >= t.min_s > 0.0
+    assert t.iqr_s >= 0.0
     assert t.minflt_per_call >= 0.0
-    h, inputs = seeded(SMALL, 7)
-    assert t.checksum == checksum(run_kernel("shear", h, inputs, "optimized"))
+    assert t.checksum == checksum(call())
     # checksum depends on the data, not on how often it was timed
-    assert time_kernel("shear", "optimized", SMALL, reps=4, seed=7).checksum == t.checksum
+    assert time_calls({"shear": call}, reps=4)["shear"].checksum == t.checksum
 
 
-def test_time_kernel_rejects_low_reps():
+def test_time_calls_rejects_low_reps():
     with pytest.raises(ValueError):
-        time_kernel("field", "optimized", SMALL, reps=2, seed=1)
+        time_calls({"noop": lambda: None}, reps=2)
+
+
+def test_time_calls_interleaves_and_releases_every_output():
+    # each timed call follows an untimed one of the same callable, rep by
+    # rep, and no output outlives the start of the next call
+    order, outputs = [], []
+
+    def recorder(label):
+        def call():
+            assert not any(f.alive for f in outputs), f"an output was still held when {label} started"
+            order.append(label)
+            out = np.full(4, float(len(order)))
+            outputs.append(weakref.finalize(out, lambda: None))
+            return out
+        return call
+
+    timed = time_calls({"a": recorder("a"), "b": recorder("b")}, reps=3)
+    assert order == ["a", "a", "b", "b"] * 3
+    assert not any(f.alive for f in outputs)
+    assert list(timed) == ["a", "b"]
+    # the checksum is the last rep's timed output: calls 10 (a) and 12 (b)
+    assert timed["a"].checksum == checksum(np.full(4, 10.0))
+    assert timed["b"].checksum == checksum(np.full(4, 12.0))
 
 
 def test_kernel_names_cover_dispatch():
