@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import io
 import os
@@ -109,8 +110,19 @@ class Report:
         return "\n".join(lines)
 
 
+def _blas_core() -> str:
+    """Core type of the OpenBLAS numpy links, found through numpy's core extension, else ``unknown``."""
+    symbols = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = next(getattr(lib, name) for name in symbols if hasattr(lib, name))
+    except (AttributeError, OSError, StopIteration):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _meta(args: argparse.Namespace, **extra) -> dict:
-    host = f"{platform.node()} {platform.system()} {platform.machine()} numpy-{np.__version__}"
     meta = {
         "tool": "gyroproxy",
         "version": __version__,
@@ -121,7 +133,8 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     if meta["seed"] is None:
         del meta["seed"]
     meta.update(extra)
-    meta["host"] = host
+    meta["host"] = f"{platform.node()} {platform.system()} {platform.machine()} numpy-{np.__version__}"
+    meta["blas_core"] = _blas_core()
     meta["cores"] = os.cpu_count()
     return meta
 

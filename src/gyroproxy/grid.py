@@ -143,20 +143,23 @@ def random_complex(gen: np.random.Generator, dims: tuple[int, ...]) -> np.ndarra
     """Complex array with real and imaginary components uniform in [-1, 1].
 
     The real components are drawn first as one block, then the imaginary
-    ones, so the layout is pinned for reproducibility.
+    ones, so the layout is pinned for reproducibility.  Each block is drawn
+    into one component-sized scratch array and scaled into the result as
+    ``2*d - 1``, bit for bit ``gen.uniform(-1, 1)``'s ``-1 + 2*d``.
     """
-    count = math.prod(dims)
-    re = gen.uniform(-1.0, 1.0, count)
-    im = gen.uniform(-1.0, 1.0, count)
-    return (re + 1j * im).reshape(dims)
+    out, scratch = np.empty(dims, np.complex128), np.empty(dims)
+    for part in (out.real, out.imag):
+        np.multiply(gen.random(out=scratch), 2.0, out=scratch)
+        np.subtract(scratch, 1.0, out=part)
+    return out
 
 
 def random_state(shape: GridShape, seed: int) -> np.ndarray:
     """Seeded proxy distribution state.
 
     A pure function of (shape, seed): same arguments give a bit-identical
-    array on any platform.  Components lie in [-1, 1].  Allocation failures
-    surface as MemoryError.
+    array on any platform.  Components lie in [-1, 1].  It allocates the
+    state plus one component block; allocation failures raise MemoryError.
     """
     return random_complex(substream(seed, 0), shape.dims)
 

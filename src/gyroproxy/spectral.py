@@ -43,6 +43,7 @@ import functools
 
 import numpy as np
 
+from .grid import random_complex
 from .padding import PaddedPlan, dealias_minimum, plan_padded_size, DEFAULT_RULE
 
 
@@ -157,9 +158,7 @@ def random_spectrum(n_kx: int, n_ky: int, gen: np.random.Generator) -> np.ndarra
     for even n_kx, the unpaired Nyquist column is zeroed, so the result
     survives a synthesis round trip exactly.
     """
-    re = gen.uniform(-1.0, 1.0, (n_ky, n_kx))
-    im = gen.uniform(-1.0, 1.0, (n_ky, n_kx))
-    spec = hermitian_ky0(re + 1j * im)
+    spec = hermitian_ky0(random_complex(gen, (n_ky, n_kx)))
     if n_kx % 2 == 0:
         spec[..., n_kx // 2] = 0.0
     return spec

@@ -14,6 +14,7 @@ from gyroproxy.cli import (
     EXIT_IO,
     EXIT_OK,
     Report,
+    _blas_core,
     build_parser,
     main,
     summarize,
@@ -66,15 +67,24 @@ def test_module_entry_point_runs():
         assert text in getattr(proc, stream)
 
 
-def test_verify_passes_under_another_blas_core_type():
+def test_verify_passes_under_another_blas_core_type(tmp_path):
     # numpy's bundled OpenBLAS picks its kernel set per process from
-    # OPENBLAS_CORETYPE; the battery must hold on a non-default one too
+    # OPENBLAS_CORETYPE; the battery must hold on a non-default one too,
+    # and the report header must name the core type that ran
     env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]),
                OPENBLAS_CORETYPE="Nehalem")
-    proc = subprocess.run([sys.executable, "-m", "gyroproxy", "verify", "--case", "sh03b-desk"],
+    out = tmp_path / "verify.csv"
+    proc = subprocess.run([sys.executable, "-m", "gyroproxy", "verify", "--case", "sh03b-desk", "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert "PASS (19/19 checks)" in proc.stdout
+    meta, _ = read_report(out)
+    assert " blas_core=Nehalem " in meta
+
+
+def test_blas_core_unknown_without_a_corename_symbol(monkeypatch):
+    monkeypatch.setattr("ctypes.CDLL", lambda path: object())
+    assert _blas_core() == "unknown"
 
 
 def test_subcommand_required():

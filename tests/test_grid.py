@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +95,32 @@ def test_substream_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_random_complex_layout_pinned():
+@pytest.mark.parametrize("dims", [(3, 4), (5,), (3, 5, 7), (1,)], ids=["3x4", "5", "3x5x7", "1"])
+def test_random_complex_layout_pinned(dims):
     """Real block drawn first, imaginary block second, then interleaved."""
+    count = math.prod(dims)
+    ref = substream(9, 0)
+    re = ref.uniform(-1.0, 1.0, count)
+    im = ref.uniform(-1.0, 1.0, count)
+    want = (re + 1j * im).reshape(dims)
     gen = substream(9, 0)
-    re = gen.uniform(-1.0, 1.0, 12)
-    im = gen.uniform(-1.0, 1.0, 12)
-    want = (re + 1j * im).reshape(3, 4)
-    got = random_complex(substream(9, 0), (3, 4))
+    got = random_complex(gen, dims)
     assert np.array_equal(got, want)
+    # exactly 2*count doubles consumed: both streams continue in step
+    assert gen.random() == ref.random()
+
+
+def test_random_state_memory_budget():
+    # the state plus one component block; building the real and imaginary
+    # parts as separate complex temporaries reads about 2x
+    shape = make_case("em04b-desk")
+    tracemalloc.start()
+    try:
+        h = random_state(shape, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * h.nbytes, peak / h.nbytes
 
 
 def test_random_state_deterministic():
