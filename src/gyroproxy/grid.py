@@ -35,6 +35,7 @@ _CASES = {
 _MAX_STATE_BYTES = 2**62
 
 BYTES_PER_ELEMENT = 16  # complex double
+_DRAW_BLOCK = 1 << 16  # doubles per random_complex scratch block (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,19 @@ def substream(seed: int, stream: int = 0) -> np.random.Generator:
 def random_complex(gen: np.random.Generator, dims: tuple[int, ...]) -> np.ndarray:
     """Complex array with real and imaginary components uniform in [-1, 1].
 
-    The real components are drawn first as one block, then the imaginary
-    ones, so the layout is pinned for reproducibility.  Each block is drawn
-    into one component-sized scratch array and scaled into the result as
-    ``2*d - 1``, bit for bit ``gen.uniform(-1, 1)``'s ``-1 + 2*d``.
+    All real components are drawn first, then all the imaginary ones, so
+    the layout is pinned for reproducibility.  The stream runs through one
+    fixed 512 KiB scratch (``_DRAW_BLOCK`` doubles) whatever the result's
+    size; each block is scaled into the result as ``2*d - 1``, bit for bit
+    ``gen.uniform(-1, 1)``'s ``-1 + 2*d``.
     """
-    out, scratch = np.empty(dims, np.complex128), np.empty(dims)
-    for part in (out.real, out.imag):
-        np.multiply(gen.random(out=scratch), 2.0, out=scratch)
-        np.subtract(scratch, 1.0, out=part)
-    return out
+    flat = np.empty(math.prod(dims), np.complex128)
+    scratch = np.empty(min(flat.size, _DRAW_BLOCK))
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _DRAW_BLOCK):
+            d = gen.random(out=scratch[: flat.size - lo])
+            np.subtract(np.multiply(d, 2.0, out=d), 1.0, out=part[lo : lo + _DRAW_BLOCK])
+    return flat.reshape(dims)
 
 
 def random_state(shape: GridShape, seed: int) -> np.ndarray:
@@ -159,7 +163,8 @@ def random_state(shape: GridShape, seed: int) -> np.ndarray:
 
     A pure function of (shape, seed): same arguments give a bit-identical
     array on any platform.  Components lie in [-1, 1].  It allocates the
-    state plus one component block; allocation failures raise MemoryError.
+    state plus a fixed 512 KiB scratch, whatever the state size;
+    allocation failures raise MemoryError.
     """
     return random_complex(substream(seed, 0), shape.dims)
 
