@@ -35,8 +35,8 @@ from .commsim import (
 )
 from .grid import component_mean_abs, make_case, random_state, substream
 from .kernels import KERNEL_NAMES, checksum, make_kernel_inputs, run_kernel, time_calls
-from .padding import cost_score, dealias_minimum, factorize, naive_padded_size, plan_padded_size
-from .spectral import bracket, bracket_plans, random_spectrum, to_real, to_spectrum
+from .padding import cost_score, dealias_minimum, factorize, plan_padded_size
+from .spectral import bracket, bracket_plans, to_real, to_spectrum
 
 #: Relative tolerance of each kernel against its oracle.  shear is pure
 #: data movement and must match exactly.  perfbench/workloads.py keeps a
@@ -89,7 +89,7 @@ def _spectra(seed: int):
     for n_kx, n_ky in BRACKET_GRIDS:
         plans = bracket_plans(n_kx, n_ky)
         for _ in range(34):
-            yield random_spectrum(n_kx, n_ky, gen), random_spectrum(n_kx, n_ky, gen), plans
+            yield oracles.random_spectrum(n_kx, n_ky, gen), oracles.random_spectrum(n_kx, n_ky, gen), plans
 
 
 def _comm_ratios():
@@ -132,7 +132,7 @@ def padding_examples(case, seed):
     results = (
         plan_padded_size(48).n_padded == 72,
         plan_padded_size(479).n_padded == 720,
-        naive_padded_size(477) == 716 and factorize(716) == [2, 2, 179],
+        oracles.naive_padded_size(477) == 716 and factorize(716) == [2, 2, 179],
         plan_padded_size(477).n_padded == 720,
         cost_score([2, 2, 2, 3, 3]) == 12,
     )

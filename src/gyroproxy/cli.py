@@ -24,6 +24,7 @@ import csv
 import ctypes
 import functools
 import io
+import math
 import os
 import platform
 import sys
@@ -349,19 +350,28 @@ def _run_comm_estimate(args: argparse.Namespace) -> Report:
 
 
 def _read_bench_medians(path: str) -> dict:
-    """(case, kernel, variant) -> median seconds from a bench report CSV."""
+    """(case, kernel, variant) -> median seconds from a bench report CSV; a bad row names its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    need = {"case", "kernel", "variant", "median_s"}
-    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    need = ("case", "kernel", "variant", "median_s")
+    if reader.fieldnames is None or not set(need).issubset(reader.fieldnames):
         raise ConfigError(f"{path}: not a bench report (missing columns {sorted(need)})")
     medians: dict = {}
     for row in reader:
+        where = f"{path}:{numbered[reader.line_num - 1][0]}"
+        if missing := [col for col in need if not row[col]]:
+            raise ConfigError(f"{where}: missing {', '.join(missing)}")
+        try:
+            median = float(row["median_s"])
+        except ValueError:
+            median = math.nan
+        if not 0 < median < math.inf:
+            raise ConfigError(f"{where}: median_s {row['median_s']!r} is not a finite positive number")
         key = (row["case"], row["kernel"], row["variant"])
         if key in medians:
-            raise ConfigError(f"{path}: duplicate rows for {key}")
-        medians[key] = float(row["median_s"])
+            raise ConfigError(f"{where}: duplicate rows for {key}")
+        medians[key] = median
     if not medians:
         raise ConfigError(f"{path}: no rows found")
     return medians
@@ -369,14 +379,9 @@ def _read_bench_medians(path: str) -> dict:
 
 def summarize(before: dict, after: dict) -> list:
     """Per-(case, kernel, variant) before/after ratios plus an overall row (ratio of sums)."""
-    missing_after = sorted(set(before) - set(after))
-    missing_before = sorted(set(after) - set(before))
-    if missing_after or missing_before:
-        parts = []
-        if missing_after:
-            parts.append(f"missing from after: {missing_after}")
-        if missing_before:
-            parts.append(f"missing from before: {missing_before}")
+    gaps = {"after": sorted(set(before) - set(after)), "before": sorted(set(after) - set(before))}
+    parts = [f"missing from {side}: {keys}" for side, keys in gaps.items() if keys]
+    if parts:
         raise ConfigError("reports do not cover the same (case, kernel, variant) set; " + "; ".join(parts))
     rows = []
     for case, kernel, variant in sorted(before):

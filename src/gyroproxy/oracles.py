@@ -2,17 +2,18 @@
 
 Everything here recomputes a kernel result by the most literal route
 available: explicit loops, per-element gathers, direct mode-sum
-convolution.  None of it shares code with the production paths, so an
-agreement between the two is evidence, not tautology.  Speed is a
-non-goal; these run on desk-scale shapes only.
+convolution.  It shares only inputs with the package, no code under
+test: the seeded generator (``grid.random_complex``) and the planner's
+``dealias_minimum`` and ``DEFAULT_PRIMES``.  So an agreement with the
+production paths is evidence, not tautology.  Speed is a non-goal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .padding import DEFAULT_PRIMES
-from .spectral import hermitian_ky0, kx_derivative_values, kx_values
+from .grid import random_complex
+from .padding import DEFAULT_PRIMES, dealias_minimum
 
 
 def smooth_numbers(bound, primes=DEFAULT_PRIMES):
@@ -30,6 +31,36 @@ def smooth_numbers(bound, primes=DEFAULT_PRIMES):
                 v *= p
         values |= grown
     return sorted(v for v in values if v <= bound)
+
+
+def naive_padded_size(n_logical: int) -> int:
+    """The scheme the planner replaced: the 3/2 dealias minimum rounded up to even, factors ignored."""
+    return -(-dealias_minimum(n_logical) // 2) * 2
+
+
+def hermitian_ky0(spec: np.ndarray) -> np.ndarray:
+    """A copy with the ky = 0 row projected onto its Hermitian part, the part complex-to-real can carry."""
+    spec = np.array(spec, dtype=complex)
+    n_kx = spec.shape[-1]
+    rev = (-np.arange(n_kx)) % n_kx
+    row = spec[..., 0, :]
+    spec[..., 0, :] = 0.5 * (row + np.conj(row[..., rev]))
+    return spec
+
+
+def is_hermitian(spec: np.ndarray) -> bool:
+    """True when the ky = 0 row is Hermitian in kx to within 1e-12."""
+    spec = np.asarray(spec)
+    n_kx = spec.shape[-1]
+    rev = (-np.arange(n_kx)) % n_kx
+    row = spec[..., 0, :]
+    return bool(np.max(np.abs(row - np.conj(row[..., rev]))) <= 1e-12)
+
+
+def random_spectrum(n_kx: int, n_ky: int, gen: np.random.Generator) -> np.ndarray:
+    """Random spectrum of a real field: components uniform in [-1, 1], made
+    representable by :func:`_c2r_representable`, so it survives a round trip."""
+    return _c2r_representable(random_complex(gen, (n_ky, n_kx)))
 
 
 def field_moment_oracle(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -104,8 +135,8 @@ def bracket_convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     f = _c2r_representable(f)
     g = _c2r_representable(g)
     n_ky, n_kx = f.shape
-    kxv = kx_values(n_kx)
-    kxd = kx_derivative_values(n_kx)
+    kxv = np.rint(np.fft.fftfreq(n_kx, 1 / n_kx)).astype(int)
+    kxd = np.where(2 * kxv == -n_kx, 0.0, kxv)  # derivative wavenumbers: none at the unpaired Nyquist
 
     f_full, ky_full = _extend_half_plane(f)
     g_full, _ = _extend_half_plane(g)
@@ -215,7 +246,8 @@ def comm_pair_fractions_oracle(n1, n2, spread_nodes, ranks_per_node, gpus_per_no
 
 
 def _c2r_representable(spec: np.ndarray) -> np.ndarray:
-    spec = hermitian_ky0(np.asarray(spec, dtype=complex))
+    """A copy with a Hermitian ky = 0 row and, for even n_kx, an empty unpaired Nyquist column."""
+    spec = hermitian_ky0(spec)
     n_kx = spec.shape[-1]
     if n_kx % 2 == 0:
         spec[..., n_kx // 2] = 0.0

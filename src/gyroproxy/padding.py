@@ -7,10 +7,10 @@ count, but any size at or above that bound is correct, so the planner is
 free to pick the smallest one whose factors stay inside an allowed prime
 set.
 
-``naive_padded_size`` models the flawed scheme this replaces: round the
-dealias minimum up to the next even number and hope.  That lands on sizes
-like 716 = 2^2 * 179, whose large prime cofactor wrecks transform
-throughput.  It is kept as a reference model, not used by anything else.
+``oracles.naive_padded_size`` models the flawed scheme this replaces:
+round the dealias minimum up to the next even number and hope.  That
+lands on sizes like 716 = 2^2 * 179, whose large prime cofactor wrecks
+transform throughput.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ class PaddedPlan:
     n_min: int
     n_padded: int
     factors: tuple[int, ...]
-    cost_score: int
+
+    @property
+    def cost_score(self) -> int:
+        return cost_score(self.factors)
 
     def __post_init__(self):
         if not self.n_padded >= self.n_min >= self.n_logical >= 1:
@@ -124,12 +127,4 @@ def plan_padded_size(n_logical: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_P
     n = n_min
     while _smooth_residue(n, primes) != 1:
         n += 1
-    factors = tuple(factorize(n))
-    return PaddedPlan(n_logical, n_min, n, factors, cost_score(factors))
-
-
-def naive_padded_size(n_logical: int, rule=DEFAULT_RULE) -> int:
-    """Reference model of the pre-optimization scheme: round the dealias
-    minimum up to the next even number, ignoring factorization entirely."""
-    n_min = dealias_minimum(n_logical, rule)
-    return n_min + (n_min & 1)
+    return PaddedPlan(n_logical, n_min, n, tuple(factorize(n)))

@@ -43,7 +43,6 @@ import functools
 
 import numpy as np
 
-from .grid import random_complex
 from .padding import PaddedPlan, dealias_minimum, plan_padded_size, DEFAULT_RULE
 
 
@@ -126,42 +125,6 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
     out[..., :pos] = rows[..., :pos]
     out[..., n_kx - neg:] = rows[..., n_x - neg:]
     return out
-
-
-def hermitian_ky0(spec: np.ndarray) -> np.ndarray:
-    """Return a copy with the ky = 0 row projected onto its Hermitian part.
-
-    The complex-to-real convention cannot carry anti-Hermitian ky = 0
-    content; this makes that projection explicit for oracle comparisons.
-    """
-    spec = np.array(spec, dtype=complex)
-    n_kx = spec.shape[-1]
-    rev = (-np.arange(n_kx)) % n_kx
-    row = spec[..., 0, :]
-    spec[..., 0, :] = 0.5 * (row + np.conj(row[..., rev]))
-    return spec
-
-
-def is_hermitian(spec: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the ky = 0 row is Hermitian in kx within an absolute tolerance."""
-    spec = np.asarray(spec)
-    n_kx = spec.shape[-1]
-    rev = (-np.arange(n_kx)) % n_kx
-    row = spec[..., 0, :]
-    return bool(np.max(np.abs(row - np.conj(row[..., rev]))) <= tol)
-
-
-def random_spectrum(n_kx: int, n_ky: int, gen: np.random.Generator) -> np.ndarray:
-    """Random spectrum describing a real field.
-
-    Components uniform in [-1, 1]; the ky = 0 row is Hermitianized and,
-    for even n_kx, the unpaired Nyquist column is zeroed, so the result
-    survives a synthesis round trip exactly.
-    """
-    spec = hermitian_ky0(random_complex(gen, (n_ky, n_kx)))
-    if n_kx % 2 == 0:
-        spec[..., n_kx // 2] = 0.0
-    return spec
 
 
 def min_padded_x(n_kx: int) -> int:

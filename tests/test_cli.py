@@ -318,6 +318,28 @@ def test_compare_rejects_foreign_csv(tmp_path):
     assert code == EXIT_CONFIG
 
 
+_BENCH_HEAD = "# tool=gyroproxy command=bench\ncase,kernel,variant,reps,median_s\n"
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("sh03b-desk,shear,original,3,fast", "median_s 'fast' is not a finite positive number"),
+    ("sh03b-desk,shear,original,3,0", "median_s '0' is not a finite positive number"),
+    ("sh03b-desk,shear,original,3,-0.01", "median_s '-0.01' is not a finite positive number"),
+    ("sh03b-desk,shear,original,3,nan", "median_s 'nan' is not a finite positive number"),
+    ("sh03b-desk,shear,original,3,inf", "median_s 'inf' is not a finite positive number"),
+    ("sh03b-desk,shear", "missing variant, median_s"),
+    ("sh03b-desk,shear,,3,0.01", "missing variant"),
+])
+def test_compare_rejects_malformed_rows(tmp_path, capsys, row, problem):
+    good = tmp_path / "good.csv"
+    good.write_text(_BENCH_HEAD + "sh03b-desk,shear,original,3,0.01\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_BENCH_HEAD + row + "\n")
+    code = main(["compare", "--before", str(good), "--after", str(bad)])
+    assert code == EXIT_CONFIG
+    assert f"{bad}:3: {problem}" in capsys.readouterr().err
+
+
 def test_summarize_overall_is_ratio_of_sums():
     before = {("c", "k1", "original"): 2.0, ("c", "k2", "original"): 6.0}
     after = {("c", "k1", "original"): 1.0, ("c", "k2", "original"): 1.0}

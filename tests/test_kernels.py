@@ -29,10 +29,12 @@ from gyroproxy.oracles import (
     bracket_convolution_oracle,
     collision_oracle,
     field_moment_oracle,
+    is_hermitian,
+    random_spectrum,
     shear_oracle,
     stream_oracle,
 )
-from gyroproxy.spectral import bracket, bracket_plans, is_hermitian, random_spectrum
+from gyroproxy.spectral import bracket, bracket_plans
 
 SMALL = GridShape(n_radial=12, n_toroidal=4, n_theta=5, n_xi=3, n_energy=2, n_species=2)
 

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gyroproxy.oracles import smooth_numbers
+from gyroproxy.oracles import naive_padded_size, smooth_numbers
 from gyroproxy.padding import (
     DEFAULT_PRIMES,
     PaddedPlan,
     cost_score,
     dealias_minimum,
     factorize,
-    naive_padded_size,
     plan_padded_size,
 )
 
@@ -140,8 +139,14 @@ def test_plan_rejects_bad_primes():
         plan_padded_size(10, allowed_primes=(2, 9))
 
 
+def test_padded_plan_cost_score_follows_factors():
+    assert PaddedPlan(10, 15, 16, (2, 2, 2, 2)).cost_score == 8
+    with pytest.raises(TypeError):
+        PaddedPlan(10, 15, 16, (2, 2, 2, 2), 999)
+
+
 def test_padded_plan_validates_consistency():
     with pytest.raises(ValueError):
-        PaddedPlan(10, 15, 16, (2, 2, 2), 6)  # factors multiply to 8
+        PaddedPlan(10, 15, 16, (2, 2, 2))  # factors multiply to 8
     with pytest.raises(ValueError):
-        PaddedPlan(10, 9, 16, (2, 2, 2, 2), 8)  # n_min below n_logical
+        PaddedPlan(10, 9, 16, (2, 2, 2, 2))  # n_min below n_logical

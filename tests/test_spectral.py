@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
-from gyroproxy import spectral
+from gyroproxy import oracles, spectral
 from gyroproxy.checks import rel_err
 from gyroproxy.grid import substream
-from gyroproxy.oracles import bracket_convolution_oracle, dft_oracle_2d, idft_oracle_2d
+from gyroproxy.oracles import (
+    bracket_convolution_oracle,
+    dft_oracle_2d,
+    hermitian_ky0,
+    idft_oracle_2d,
+    is_hermitian,
+    random_spectrum,
+)
 from gyroproxy.spectral import (
     bracket,
     bracket_plans,
-    hermitian_ky0,
-    is_hermitian,
     kx_derivative_values,
     kx_values,
     min_padded_x,
     min_padded_y,
-    random_spectrum,
     to_real,
     to_spectrum,
 )
@@ -36,6 +40,14 @@ def test_kx_derivative_zeroes_nyquist():
 
 # ---------------------------------------------------------------------------
 # direct-summation oracle pair
+
+
+def test_oracles_call_no_code_under_test():
+    # agreement with an oracle is evidence only while the oracle does not reuse what it checks
+    under_test = {"gyroproxy.spectral", "gyroproxy.kernels", "gyroproxy.commsim", "gyroproxy.checks"}
+    shared = sorted(name for name, obj in vars(oracles).items()
+                    if callable(obj) and getattr(obj, "__module__", None) in under_test)
+    assert shared == []
 
 
 def test_dft_oracle_constant_field():
