@@ -5,9 +5,10 @@ Each check is a function of ``(case, seed)`` that returns
 and whether the property holds.  ``gyroproxy verify`` runs every entry of
 :data:`CHECKS` at one case and seed; ``tests/test_acceptance.py`` runs the
 same functions and sweeps the seed of the kernel-oracle checks, which
-draw one random state per call.  The other checks draw their full sample
-(4096 padding sizes, 102 bracket spectra, 50 transform fields, 13
-communication volumes) on every call; together they cost under a second.
+draw one random state per call, over both desk cases.  The other checks
+draw their full sample (4096 padding sizes, 102 bracket spectrum pairs,
+50 transform fields, 13 communication volumes) on every call; together
+they cost under a second.
 
 A limit is an upper bound on the value unless the check says otherwise.
 Every value is deterministic for a fixed case and seed, and no check
@@ -34,7 +35,7 @@ from .commsim import (
     plan_decomposition,
 )
 from .grid import component_mean_abs, make_case, random_state, substream
-from .kernels import KERNEL_NAMES, checksum, make_kernel_inputs, run_kernel, time_calls
+from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, checksum, make_kernel_inputs, run_kernel, time_calls
 from .padding import cost_score, dealias_minimum, factorize, plan_padded_size
 from .spectral import bracket, bracket_plans, to_real, to_spectrum
 
@@ -42,6 +43,19 @@ from .spectral import bracket, bracket_plans, to_real, to_spectrum
 #: data movement and must match exactly.  perfbench/workloads.py keeps a
 #: copy that a test holds equal to this one.
 TOLERANCE = {"field": 1e-13, "stream": 1e-13, "shear": 0.0, "collision": 1e-12, "nonlinear": 1e-12}
+
+#: Relative tolerance of the nonlinear kernel against one bracket per
+#: slice: tighter than its oracle's, since both run the same transforms.
+SLICE_TOLERANCE = 1e-13
+
+#: The loop oracle of each linear kernel, as f(h, inputs).  The nonlinear
+#: kernel is held by nonlinear_slices and bracket_oracle instead.
+ORACLES = {
+    "field": lambda h, inputs: oracles.field_moment_oracle(h, inputs["weights"]),
+    "stream": lambda h, inputs: oracles.stream_oracle(h, inputs["stencil"]),
+    "shear": lambda h, inputs: oracles.shear_oracle(h, inputs["shifts"]),
+    "collision": lambda h, inputs: oracles.collision_oracle(h, inputs["matrices"]),
+}
 
 #: Bracket grids (n_kx, n_ky): even and odd radial sizes, up to 16x8.
 BRACKET_GRIDS = ((8, 4), (7, 3), (16, 8))
@@ -196,55 +210,46 @@ def bracket_self_zero(case, seed):
     return worst, 1e-12, worst <= 1e-12
 
 
-def _threads_agree(kernel, h, inputs, one):
-    """Whether two threads give the one-thread output ``one`` bit for bit."""
-    return np.array_equal(one, run_kernel(kernel, h, inputs, threads=2))
+def kernel_contract(kernel, h, inputs):
+    """(error, limit, ok) of one linear kernel on one state and input set.
+
+    The error is the worst rel_err of the one-thread optimized output
+    against the kernel's loop oracle and against every other variant; the
+    limit is TOLERANCE[kernel].  ok also needs two threads to give the
+    one-thread output bit for bit.
+    """
+    got = run_kernel(kernel, h, inputs)
+    wants = [ORACLES[kernel](h, inputs)]
+    wants += [run_kernel(kernel, h, inputs, variant) for variant in KERNEL_VARIANTS[kernel] if variant != "optimized"]
+    err = max(rel_err(got, want) for want in wants)
+    limit = TOLERANCE[kernel]
+    return err, limit, err <= limit and np.array_equal(got, run_kernel(kernel, h, inputs, threads=2))
 
 
 def field_oracle(case, seed):
-    """Relative error of the field reduction against the loop oracle.
-
-    Two threads must also give the one-thread result bit for bit, here and
-    in the stream, shear and collision checks.
-    """
-    h, inputs = _seeded(case, seed)
-    got = run_kernel("field", h, inputs)
-    err = rel_err(got, oracles.field_moment_oracle(h, inputs["weights"]))
-    return err, TOLERANCE["field"], _threads_agree("field", h, inputs, got) and err <= TOLERANCE["field"]
+    """The field reduction's kernel_contract."""
+    return kernel_contract("field", *_seeded(case, seed))
 
 
 def stream_variants(case, seed):
-    """Relative error of the optimized stream against the original and the loop oracle."""
-    h, inputs = _seeded(case, seed)
-    optimized = run_kernel("stream", h, inputs)
-    err = max(rel_err(optimized, run_kernel("stream", h, inputs, "original")),
-              rel_err(optimized, oracles.stream_oracle(h, inputs["stencil"])))
-    return err, TOLERANCE["stream"], _threads_agree("stream", h, inputs, optimized) and err <= TOLERANCE["stream"]
+    """The stream stencil's kernel_contract: its original variant and the loop oracle."""
+    return kernel_contract("stream", *_seeded(case, seed))
 
 
 def shear_variants(case, seed):
-    """Largest |difference| of the optimized shear from the original and the oracle."""
-    h, inputs = _seeded(case, seed)
-    optimized = run_kernel("shear", h, inputs)
-    diff = max(float(np.max(np.abs(optimized - want))) for want in (
-        run_kernel("shear", h, inputs, "original"), oracles.shear_oracle(h, inputs["shifts"])))
-    return diff, TOLERANCE["shear"], _threads_agree("shear", h, inputs, optimized) and diff <= TOLERANCE["shear"]
+    """The shear gather's kernel_contract: its original variant and the oracle, exactly."""
+    return kernel_contract("shear", *_seeded(case, seed))
 
 
 def collision_oracle(case, seed):
-    """Relative error of the collision matvec against the loop oracle."""
-    h, inputs = _seeded(case, seed)
-    got = run_kernel("collision", h, inputs)
-    err = rel_err(got, oracles.collision_oracle(h, inputs["matrices"]))
-    return err, TOLERANCE["collision"], _threads_agree("collision", h, inputs, got) and err <= TOLERANCE["collision"]
+    """The collision matvec's kernel_contract."""
+    return kernel_contract("collision", *_seeded(case, seed))
 
 
 def nonlinear_slices(case, seed):
     """Relative error of the nonlinear kernel against one bracket per velocity slice.
 
-    The limit is tighter than the bracket's oracle tolerance: the batch and
-    the single slice run the same transforms.  Two threads must also give
-    the one-thread result bit for bit.
+    Two threads must also give the one-thread result bit for bit.
     """
     h, inputs = _seeded(case, seed)
     got = run_kernel("nonlinear", h, inputs)
@@ -252,7 +257,8 @@ def nonlinear_slices(case, seed):
     for idx in np.ndindex(h.shape[:3]):
         want[idx] = bracket(h[idx], inputs["phi"], *inputs["plans"])
     err = rel_err(got, want)
-    return err, 1e-13, _threads_agree("nonlinear", h, inputs, got) and err <= 1e-13
+    ok = err <= SLICE_TOLERANCE and np.array_equal(got, run_kernel("nonlinear", h, inputs, threads=2))
+    return err, SLICE_TOLERANCE, ok
 
 
 def comm_volumes(case, seed):

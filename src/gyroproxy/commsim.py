@@ -61,6 +61,9 @@ class MachineTopology:
     shared_bus_contention: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.gpus_per_node < 1:
             raise ValueError("gpus_per_node must be >= 1")
         if self.intra_node_links < 1 or self.nics_per_node < 1:

@@ -100,14 +100,6 @@ def _check_primes(allowed_primes) -> tuple[int, ...]:
     return primes
 
 
-def _smooth_residue(n: int, primes) -> int:
-    # 1 iff n factors entirely over the allowed set
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 def plan_padded_size(n_logical: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_PRIMES) -> PaddedPlan:
     """Plan the smallest smooth transform size at or above the dealias minimum.
 
@@ -115,16 +107,30 @@ def plan_padded_size(n_logical: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_P
         n_logical: retained spectral modes along this dimension.
         rule: exact rational dealias factor (default 3/2).
         allowed_primes: factor budget; must contain at least one prime.
-            With 2 in the set a valid size always exists; without it the
-            scan still terminates at the next pure power of the smallest
-            allowed prime.
+            A size always exists: at worst the next pure power of the
+            smallest allowed prime.
 
     Returns:
         PaddedPlan with the chosen size, its factorization, and cost score.
     """
-    primes = _check_primes(allowed_primes)
+    low, *rest = _check_primes(allowed_primes)
     n_min = dealias_minimum(n_logical, rule)
-    n = n_min
-    while _smooth_residue(n, primes) != 1:
-        n += 1
-    return PaddedPlan(n_logical, n_min, n, tuple(factorize(n)))
+    # Each product of the primes above the smallest, made up to n_min with
+    # powers of the smallest.  None at or past the smallest prime's own power
+    # can win, which leaves a few thousand products even at n_min = 10**18.
+    best = 1
+    while best < n_min:
+        best *= low
+    products = [1]
+    for p in rest:
+        grown = []
+        for m in products:
+            while m < best:
+                grown.append(m)
+                m *= p
+        products = grown
+    for m in products:
+        while m < n_min:
+            m *= low
+        best = min(best, m)
+    return PaddedPlan(n_logical, n_min, best, tuple(factorize(best)))

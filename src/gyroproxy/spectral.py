@@ -43,18 +43,13 @@ import functools
 
 import numpy as np
 
-from .padding import PaddedPlan, dealias_minimum, plan_padded_size, DEFAULT_RULE
-
-
-def kx_values(n_kx: int) -> np.ndarray:
-    """Signed radial wavenumbers in FFT wrap order."""
-    k = np.arange(n_kx)
-    return np.where(k < (n_kx + 1) // 2, k, k - n_kx)
+from .padding import PaddedPlan, dealias_minimum, plan_padded_size
 
 
 def kx_derivative_values(n_kx: int) -> np.ndarray:
-    """Derivative wavenumbers: as kx_values but with the Nyquist entry zeroed."""
-    k = kx_values(n_kx).astype(float)
+    """Signed radial wavenumbers in FFT wrap order, the unpaired Nyquist entry zeroed."""
+    k = np.arange(n_kx, dtype=float)
+    k[(n_kx + 1) // 2:] -= n_kx
     if n_kx % 2 == 0:
         k[n_kx // 2] = 0.0
     return k
@@ -127,20 +122,6 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
     return out
 
 
-def min_padded_x(n_kx: int) -> int:
-    """Alias-free transform size for the radial dimension (3/2 rule)."""
-    return dealias_minimum(n_kx, DEFAULT_RULE)
-
-
-def min_padded_y(n_ky: int) -> int:
-    """Alias-free transform size for the toroidal dimension.
-
-    The half spectrum spans 2*n_ky - 1 signed modes, so quadratic products
-    reach |ky| = 2(n_ky - 1) and the grid must exceed 3(n_ky - 1) points.
-    """
-    return 3 * n_ky - 2
-
-
 def bracket_plans(n_kx: int, n_ky: int):
     """Padded-size plans (plan_x, plan_y) for bracket on an n_kx x n_ky spectrum.
 
@@ -148,10 +129,6 @@ def bracket_plans(n_kx: int, n_ky: int):
     which is what the dealias rule applies to for a half spectrum.
     """
     return plan_padded_size(n_kx), plan_padded_size(2 * n_ky - 1)
-
-
-def _plan_size(plan) -> int:
-    return plan.n_padded if isinstance(plan, PaddedPlan) else int(plan)
 
 
 #: Padded-grid bytes per bracket block, at 32 bytes a point per slice (f's two derivatives,
@@ -189,12 +166,11 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None
     if f.shape[-2:] != g.shape[-2:]:
         raise ValueError(f"logical shapes differ: {f.shape[-2:]} vs {g.shape[-2:]}")
     n_ky, n_kx = f.shape[-2:]
-    n_x = _plan_size(plan_x)
-    n_y = _plan_size(plan_y)
-    if n_x < min_padded_x(n_kx):
-        raise ValueError(f"plan_x size {n_x} below dealias bound {min_padded_x(n_kx)}")
-    if n_y < min_padded_y(n_ky):
-        raise ValueError(f"plan_y size {n_y} below dealias bound {min_padded_y(n_ky)}")
+    n_x, n_y = (plan.n_padded if isinstance(plan, PaddedPlan) else int(plan) for plan in (plan_x, plan_y))
+    # y: 2*n_ky - 1 signed modes make products up to |ky| = 2(n_ky - 1), alias-free iff n_y > 3(n_ky - 1)
+    for axis, n, bound in (("x", n_x, dealias_minimum(n_kx)), ("y", n_y, 3 * n_ky - 2)):
+        if n < bound:
+            raise ValueError(f"plan_{axis} size {n} below dealias bound {bound}")
     shape = np.broadcast_shapes(f.shape, g.shape)
     if out is None:
         out = np.empty(shape, dtype=complex)

@@ -2,7 +2,8 @@
 
 The correctness properties live in ``gyroproxy/checks.py``, where
 ``gyroproxy verify`` runs them too; here every check runs on sh03b-desk,
-the kernel-oracle checks at 20 seeds.  Each test prints one PASS/FAIL
+the kernel-oracle checks at 20 seeds, and the kernel checks run on
+em04b-desk too, at 3 seeds.  Each test prints one PASS/FAIL
 line with the numbers it gated on, so a bare
 ``pytest -s tests/test_acceptance.py`` reads as a checklist.  The
 thresholds are the contract for this package; loosening them here is the
@@ -43,19 +44,32 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def run_check(name, case, seed):
+    start = time.perf_counter()
+    value, limit, ok = checks.CHECKS[name](case, seed)
+    elapsed = time.perf_counter() - start
+    budget = ELAPSED_LIMIT_S.get(name)
+    timing = f"{elapsed:.2f}s" + (f" (limit {budget}s)" if budget else "")
+    report(name, ok and (budget is None or elapsed < budget),
+           f"{case} seed {seed}: value {value!r}, limit {limit!r}, {timing}")
+
+
 # Seed-major, so the kernel-oracle checks of one seed share the state
 # checks._seeded builds once.
 @pytest.mark.parametrize("name, seed", [
     (name, seed) for seed in range(20) for name in KERNEL_ORACLES
 ] + [(name, TOP_SEED) for name in checks.CHECKS if name not in KERNEL_ORACLES])
 def test_check(name, seed):
-    start = time.perf_counter()
-    value, limit, ok = checks.CHECKS[name]("sh03b-desk", seed)
-    elapsed = time.perf_counter() - start
-    budget = ELAPSED_LIMIT_S.get(name)
-    timing = f"{elapsed:.2f}s" + (f" (limit {budget}s)" if budget else "")
-    report(name, ok and (budget is None or elapsed < budget),
-           f"seed {seed}: value {value!r}, limit {limit!r}, {timing}")
+    run_check(name, "sh03b-desk", seed)
+
+
+# em04b-desk is the case two benchmark workloads run: n_theta = 6 and a
+# 144x48 padded bracket grid, where sh03b-desk has 8 and 72x24.
+@pytest.mark.parametrize("name, seed", [
+    (name, seed) for seed in range(3) for name in KERNEL_ORACLES
+] + [("nonlinear_slices", TOP_SEED)])
+def test_kernel_check_em04b(name, seed):
+    run_check(name, "em04b-desk", seed)
 
 
 def test_seeded_inputs_are_shared_and_read_only():

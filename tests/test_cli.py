@@ -427,6 +427,19 @@ def test_comm_estimate_bad_topology_file(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("figure", ["nan", "inf"])
+def test_comm_estimate_non_finite_topology_figure(tmp_path, capsys, figure):
+    topo = tmp_path / "box.topo"
+    topo.write_text(
+        "gpus_per_node=4\nintra_node_links=4\nintra_link_gbps=25\n"
+        f"nic_layout=shared_bus\nnics_per_node=4\nnic_bandwidth={figure}\n"
+    )
+    code = main(["comm-estimate", "--case", "sh03b", "--topo-file", str(topo),
+                 "--ranks", "4", "--nodes", "1"])
+    assert code == EXIT_CONFIG
+    assert "nic_bandwidth" in capsys.readouterr().err
+
+
 def test_comm_estimate_missing_topology_file(tmp_path):
     code = main(["comm-estimate", "--case", "sh03b", "--topo-file",
                  str(tmp_path / "absent.topo"), "--ranks", "4", "--nodes", "1"])

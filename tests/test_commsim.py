@@ -68,6 +68,11 @@ def test_builtin_unknown_name():
     ("processes_per_gpu", 0),
     ("shared_bus_latency_penalty", -1e-6),
     ("shared_bus_contention", 0.5),
+    ("intra_link_gbps", float("nan")),
+    ("nic_bandwidth", float("nan")),
+    ("nic_bandwidth", float("inf")),
+    ("shared_bus_latency_penalty", float("inf")),
+    ("shared_bus_contention", float("nan")),
 ])
 def test_topology_field_validation(field, value):
     with pytest.raises(ValueError):
