@@ -21,11 +21,17 @@ from gyroproxy.spectral import (
 )
 
 
-def test_kx_derivative_zeroes_nyquist():
-    # FFT wrap order; odd sizes have no unpaired column
-    assert list(kx_derivative_values(8)) == [0, 1, 2, 3, 0, -3, -2, -1]
+def test_kx_values_wrap_order():
+    kd = kx_derivative_values(8)
+    assert list(kd[:4]) == [0, 1, 2, 3] and list(kd[5:]) == [-3, -2, -1]
     assert list(kx_derivative_values(7)) == [0, 1, 2, 3, -3, -2, -1]
     assert list(kx_derivative_values(1)) == [0]
+
+
+def test_kx_derivative_zeroes_nyquist():
+    assert kx_derivative_values(8)[4] == 0.0
+    # odd sizes have no unpaired column
+    assert np.all(kx_derivative_values(7)[1:] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,14 @@ def test_y_matrices_are_cached_and_read_only():
 # dealiased bracket
 
 
+def test_min_padded_sizes():
+    f = random_spectrum(8, 4, substream(26, 0))
+    assert np.all(bracket(f, f, 12, 10) == 0.0)  # both dealias bounds exactly
+    plan_x, plan_y = bracket_plans(48, 8)
+    assert (plan_x.n_min, plan_y.n_logical, plan_y.n_min) == (72, 15, 23)
+    assert plan_y.n_padded >= 3 * 8 - 2
+
+
 def test_bracket_of_unit_cosines():
     # f = cos x, g = cos y: {f, g} = sin x sin y = (cos(x-y) - cos(x+y)) / 2
     n_kx, n_ky = 8, 3
@@ -358,10 +372,6 @@ def test_bracket_rejects_undersized_plans():
         bracket(f, f, 11, 30)  # x plan below ceil(3*8/2)
     with pytest.raises(ValueError):
         bracket(f, f, 12, 9)  # y plan below 3*4 - 2: signed modes span 2*4-1, products reach 3*(4-1)
-    assert np.all(bracket(f, f, 12, 10) == 0.0)  # both bounds exactly
-    plan_x, plan_y = bracket_plans(48, 8)
-    assert (plan_x.n_min, plan_y.n_logical, plan_y.n_min) == (72, 15, 23)
-    assert plan_y.n_padded >= 3 * 8 - 2
 
 
 def test_bracket_rejects_shape_mismatch():
