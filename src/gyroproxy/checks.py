@@ -4,8 +4,8 @@ Each check is a function of ``(case, seed)`` that returns
 ``(value, limit, ok)``: the measured quantity, the bound it is held to,
 and whether the property holds.  ``gyroproxy verify`` runs every entry of
 :data:`CHECKS` at one case and seed; ``tests/test_acceptance.py`` runs the
-same functions and sweeps the seed of the kernel-oracle checks, which
-draw one random state per call, over both desk cases.  The other checks
+same functions and sweeps the seed of :data:`KERNEL_CONTRACT_CHECKS`,
+which draw one random state per call, over both desk cases.  The other checks
 draw their full sample (4096 padding sizes, 102 bracket spectrum pairs,
 50 transform fields, 13 communication volumes) on every call; together
 they cost under a second.
@@ -31,12 +31,11 @@ from .commsim import (
     alltoall_volume,
     builtin_topology,
     collective_time,
-    natural_plan,
     plan_decomposition,
 )
 from .grid import component_mean_abs, make_case, random_state, substream
 from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, checksum, make_kernel_inputs, run_kernel, time_calls
-from .padding import cost_score, dealias_minimum, factorize, plan_padded_size
+from .padding import dealias_minimum, factorize, plan_padded_size
 from .spectral import bracket, bracket_plans, to_real, to_spectrum
 
 #: Relative tolerance of each kernel against its oracle.  shear is pure
@@ -47,6 +46,11 @@ TOLERANCE = {"field": 1e-13, "stream": 1e-13, "shear": 0.0, "collision": 1e-12, 
 #: Relative tolerance of the nonlinear kernel against one bracket per
 #: slice: tighter than its oracle's, since both run the same transforms.
 SLICE_TOLERANCE = 1e-13
+
+#: Relative bound of the transform round trip and of Parseval's identity,
+#: and the bound of |{f, f}|: a spectrum's bracket with itself is exactly zero.
+TRANSFORM_TOLERANCE = 1e-13
+SELF_BRACKET_LIMIT = 0.0
 
 #: The loop oracle of each linear kernel, as f(h, inputs).  The nonlinear
 #: kernel is held by nonlinear_slices and bracket_oracle instead.
@@ -109,17 +113,16 @@ def _spectra(seed: int):
 def _comm_ratios():
     """Shared/dedicated-NIC time ratios (alltoall, allreduce) at identical bytes.
 
-    The same 24-rank, 6-node job is priced on both machines from 1 MB to
+    The same 24-rank, 6-node plan is priced on both machines from 1 MB to
     10 GB, four active ranks per node either way, so only the NIC
     attachment differs.
     """
     shared = builtin_topology("perlmutter_like")
     dedicated = builtin_topology("frontier_like")
-    plan_s = natural_plan(24, 6, shared)
-    plan_d = CommPlan(4, 6, ranks_per_node=4)
+    plan = CommPlan(4, 6, ranks_per_node=4)
     for volume in np.logspace(6, 10, 13):
         yield tuple(
-            collective_time(kind, volume, plan_s, shared) / collective_time(kind, volume, plan_d, dedicated)
+            collective_time(kind, volume, plan, shared) / collective_time(kind, volume, plan, dedicated)
             for kind in ("alltoall", "allreduce")
         )
 
@@ -148,7 +151,7 @@ def padding_examples(case, seed):
         plan_padded_size(479).n_padded == 720,
         oracles.naive_padded_size(477) == 716 and factorize(716) == [2, 2, 179],
         plan_padded_size(477).n_padded == 720,
-        cost_score([2, 2, 2, 3, 3]) == 12,
+        plan_padded_size(48).cost_score == 12,
     )
     bad = results.count(False)
     return bad, 0, bad == 0
@@ -181,7 +184,7 @@ def rng_determinism(case, seed):
 def transform_roundtrip(case, seed):
     """Worst relative error of to_real(to_spectrum(field)) over 50 fields."""
     worst = max(rel_err(to_real(spec, 72, 72), field) for field, spec in _fields(seed))
-    return worst, 1e-12, worst <= 1e-12
+    return worst, TRANSFORM_TOLERANCE, worst <= TRANSFORM_TOLERANCE
 
 
 def transform_parseval(case, seed):
@@ -194,7 +197,7 @@ def transform_parseval(case, seed):
         real_power = float(np.mean(field**2))
         spectral_power = float(weights @ np.sum(np.abs(spec) ** 2, axis=1))
         worst = max(worst, abs(spectral_power - real_power) / real_power)
-    return worst, 1e-12, worst <= 1e-12
+    return worst, TRANSFORM_TOLERANCE, worst <= TRANSFORM_TOLERANCE
 
 
 def bracket_oracle(case, seed):
@@ -207,7 +210,7 @@ def bracket_oracle(case, seed):
 def bracket_self_zero(case, seed):
     """Largest |{f, f}| over the bracket sample; it must vanish."""
     worst = max(float(np.max(np.abs(bracket(f, f, *plans)))) for f, _, plans in _spectra(seed))
-    return worst, 1e-12, worst <= 1e-12
+    return worst, SELF_BRACKET_LIMIT, worst <= SELF_BRACKET_LIMIT
 
 
 def kernel_contract(kernel, h, inputs):
@@ -322,3 +325,6 @@ CHECKS = {
         kernel_checksums,
     )
 }
+
+#: The checks of the four linear kernels' contracts.
+KERNEL_CONTRACT_CHECKS = ("field_oracle", "stream_variants", "shear_variants", "collision_oracle")

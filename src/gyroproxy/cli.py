@@ -32,7 +32,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .commsim import (VolumeModel, builtin_topology, load_topology, plan_decompo
                       predict_report, topology_names)
 from .grid import make_case, case_names, random_state, substream
 from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, make_kernel_inputs, run_kernel, time_calls
-from .padding import DEFAULT_PRIMES, factorize, plan_padded_size
+from .padding import DEALIAS_RULE, DEFAULT_PRIMES, factorize, plan_padded_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,17 +199,6 @@ def _name_list(allowed: tuple):
     return parse
 
 
-def _rule(text: str) -> Fraction:
-    """argparse type: a padding rule, a fraction >= 1."""
-    try:
-        rule = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-    if rule < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {rule}")
-    return rule
-
-
 _SEED = _int_in(0, 2**64)
 
 
@@ -227,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-padding", help="plan padded transform sizes")
     p.set_defaults(run=_run_plan_padding)
     p.add_argument("--n", type=_int_list(1), required=True, help="logical size(s), comma separated")
-    p.add_argument("--rule", type=_rule, default="3/2", help="padding rule as a fraction (default 3/2)")
     p.add_argument("--primes", type=_int_list(2), default=DEFAULT_PRIMES, help="allowed prime factors")
 
     p = sub.add_parser("fft-bench", help="time batched transforms by size")
@@ -276,18 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_plan_padding(args: argparse.Namespace) -> Report:
-    rows = []
-    for n in args.n:
-        plan = plan_padded_size(n, rule=args.rule, allowed_primes=args.primes)
-        rows.append((
-            n,
-            plan.n_min,
-            plan.n_padded,
-            "*".join(str(f) for f in plan.factors),
-            plan.cost_score,
-        ))
+    try:
+        plans = [plan_padded_size(n, args.primes) for n in args.n]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    rows = [(plan.n_logical, plan.n_min, plan.n_padded, "*".join(map(str, plan.factors)), plan.cost_score)
+            for plan in plans]
     columns = ("n_logical", "n_min", "n_padded", "factors", "score")
-    meta = _meta(args, rule=args.rule, primes="*".join(map(str, args.primes)))
+    meta = _meta(args, rule=DEALIAS_RULE, primes="*".join(map(str, args.primes)))
     return Report(columns, rows, meta)
 
 

@@ -45,6 +45,14 @@ NIC_LAYOUTS = ("shared_bus", "per_gpu")
 GB = 1e9
 
 
+class _FieldError(ValueError):
+    """A MachineTopology field out of range; ``field`` names it for load_topology."""
+
+    def __init__(self, topo, field: str, want: str):
+        super().__init__(f"{field} must be {want}, got {getattr(topo, field)!r}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class MachineTopology:
     """Node-level hardware figures for the communication model."""
@@ -61,23 +69,19 @@ class MachineTopology:
     shared_bus_contention: float = 1.5
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.gpus_per_node < 1:
-            raise ValueError("gpus_per_node must be >= 1")
-        if self.intra_node_links < 1 or self.nics_per_node < 1:
-            raise ValueError("link and NIC counts must be >= 1")
-        if self.intra_link_gbps <= 0 or self.nic_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.nic_layout not in NIC_LAYOUTS:
-            raise ValueError(f"nic_layout must be one of {NIC_LAYOUTS}, got {self.nic_layout!r}")
-        if self.processes_per_gpu < 1:
-            raise ValueError("processes_per_gpu must be >= 1")
-        if self.shared_bus_latency_penalty < 0:
-            raise ValueError("latency penalty must be >= 0")
-        if self.shared_bus_contention < 1:
-            raise ValueError("contention must be >= 1")
+        for field, ok, want in (
+            ("gpus_per_node", self.gpus_per_node >= 1, ">= 1"),
+            ("intra_node_links", self.intra_node_links >= 1, ">= 1"),
+            ("intra_link_gbps", 0 < self.intra_link_gbps < math.inf, "finite and > 0"),
+            ("nic_layout", self.nic_layout in NIC_LAYOUTS, f"one of {NIC_LAYOUTS}"),
+            ("nics_per_node", self.nics_per_node >= 1, ">= 1"),
+            ("nic_bandwidth", 0 < self.nic_bandwidth < math.inf, "finite and > 0"),
+            ("processes_per_gpu", self.processes_per_gpu >= 1, ">= 1"),
+            ("shared_bus_latency_penalty", 0 <= self.shared_bus_latency_penalty < math.inf, "finite and >= 0"),
+            ("shared_bus_contention", 1 <= self.shared_bus_contention < math.inf, "finite and >= 1"),
+        ):
+            if not ok:
+                raise _FieldError(self, field, want)
 
     @property
     def ranks_per_node(self) -> int:
@@ -132,9 +136,11 @@ def load_topology(path) -> MachineTopology:
 
     One MachineTopology field per line, ``#`` starts a comment.  A field
     with no default is required, except name, which defaults to the path.
+    Every rejection names the path, and the line when one is to blame.
     """
     types = typing.get_type_hints(MachineTopology)
     values: dict = {"name": str(path)}
+    linenos: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -149,10 +155,14 @@ def load_topology(path) -> MachineTopology:
                 values[key] = types[key](value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be {types[key].__name__}, got {value!r}") from None
+            linenos[key] = lineno
     missing = [f.name for f in fields(MachineTopology) if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing topology fields: {', '.join(sorted(missing))}")
-    return MachineTopology(**values)
+    try:
+        return MachineTopology(**values)
+    except _FieldError as exc:
+        raise ValueError(f"{path}:{linenos[exc.field]}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -366,12 +376,3 @@ def predict_report(case: GridShape, topo: MachineTopology, plan: CommPlan) -> li
         CommPrediction("dim1", "alltoall", v1, collective_time("alltoall", v1, plan, topo)),
         CommPrediction("dim2", "allreduce", v2, collective_time("allreduce", v2, plan, topo)),
     ]
-
-
-def natural_plan(total_ranks: int, nodes: int, topo: MachineTopology) -> CommPlan:
-    """The conventional split: dim1 fills each node, dim2 spans nodes."""
-    u = -(-total_ranks // nodes)
-    if u > topo.ranks_per_node or total_ranks % u:
-        raise ValueError(f"{total_ranks} ranks do not fill {nodes} node(s) evenly")
-    return CommPlan(u, total_ranks // u, ranks_per_node=u)
-

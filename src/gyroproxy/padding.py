@@ -2,10 +2,11 @@
 
 Mixed-radix FFTs are fast when the transform size factors into small
 primes and slow when a large prime shows up.  Dealiasing a quadratic
-nonlinearity forces the padded size to at least 3/2 of the retained mode
-count, but any size at or above that bound is correct, so the planner is
-free to pick the smallest one whose factors stay inside an allowed prime
-set.
+nonlinearity forces the padded size to at least :data:`DEALIAS_RULE`, 3/2,
+of the retained mode count on every platform, but any size at or above
+that bound is correct, so the planner picks the smallest one whose factors
+stay inside an allowed prime set: the input that differs between FFT
+libraries, since each runs its own radices fast.
 
 ``oracles.naive_padded_size`` models the flawed scheme this replaces:
 round the dealias minimum up to the next even number and hope.  That
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-DEFAULT_RULE = Fraction(3, 2)
+DEALIAS_RULE = Fraction(3, 2)
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
@@ -29,7 +30,8 @@ class PaddedPlan:
 
     ``factors`` multiply to ``n_padded`` and all lie in the prime set the
     plan was built with; ``cost_score`` is the sum of the factors with
-    multiplicity (a cheap work heuristic, reported for diagnostics).
+    multiplicity, a cheap work heuristic reported for diagnostics: lower
+    predicts faster at equal size.
     """
 
     n_logical: int
@@ -39,7 +41,7 @@ class PaddedPlan:
 
     @property
     def cost_score(self) -> int:
-        return cost_score(self.factors)
+        return sum(self.factors)
 
     def __post_init__(self):
         if not self.n_padded >= self.n_min >= self.n_logical >= 1:
@@ -71,23 +73,11 @@ def factorize(n: int) -> list[int]:
     return out
 
 
-def cost_score(factors) -> int:
-    """Sum of prime factors with multiplicity; lower predicts faster at equal size."""
-    return sum(factors)
-
-
-def _as_rule(rule) -> Fraction:
-    rule = Fraction(rule)
-    if rule < 1:
-        raise ValueError(f"dealias rule must be >= 1, got {rule}")
-    return rule
-
-
-def dealias_minimum(n_logical: int, rule=DEFAULT_RULE) -> int:
-    """Smallest transform size free of aliased quadratic products: ceil(n * rule)."""
+def dealias_minimum(n_logical: int) -> int:
+    """Smallest transform size free of aliased quadratic products: ceil(n * 3/2)."""
     if n_logical < 1:
         raise ValueError(f"n_logical must be >= 1, got {n_logical}")
-    return math.ceil(n_logical * _as_rule(rule))
+    return math.ceil(n_logical * DEALIAS_RULE)
 
 
 def _check_primes(allowed_primes) -> tuple[int, ...]:
@@ -100,12 +90,11 @@ def _check_primes(allowed_primes) -> tuple[int, ...]:
     return primes
 
 
-def plan_padded_size(n_logical: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_PRIMES) -> PaddedPlan:
+def plan_padded_size(n_logical: int, allowed_primes=DEFAULT_PRIMES) -> PaddedPlan:
     """Plan the smallest smooth transform size at or above the dealias minimum.
 
     Args:
         n_logical: retained spectral modes along this dimension.
-        rule: exact rational dealias factor (default 3/2).
         allowed_primes: factor budget; must contain at least one prime.
             A size always exists: at worst the next pure power of the
             smallest allowed prime.
@@ -114,7 +103,7 @@ def plan_padded_size(n_logical: int, rule=DEFAULT_RULE, allowed_primes=DEFAULT_P
         PaddedPlan with the chosen size, its factorization, and cost score.
     """
     low, *rest = _check_primes(allowed_primes)
-    n_min = dealias_minimum(n_logical, rule)
+    n_min = dealias_minimum(n_logical)
     # Each product of the primes above the smallest, made up to n_min with
     # powers of the smallest.  None at or past the smallest prime's own power
     # can win, which leaves a few thousand products even at n_min = 10**18.

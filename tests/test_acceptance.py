@@ -2,7 +2,7 @@
 
 The correctness properties live in ``gyroproxy/checks.py``, where
 ``gyroproxy verify`` runs them too; here every check runs on sh03b-desk,
-the kernel-oracle checks at 20 seeds, and the kernel checks run on
+the kernel-contract checks at 20 seeds, and the kernel checks run on
 em04b-desk too, at 3 seeds.  Each test prints one PASS/FAIL
 line with the numbers it gated on, so a bare
 ``pytest -s tests/test_acceptance.py`` reads as a checklist.  The
@@ -23,13 +23,10 @@ import pytest
 
 from gyroproxy import checks
 from gyroproxy.grid import make_case, random_state
-from gyroproxy.kernels import make_kernel_inputs, run_kernel, time_calls
+from gyroproxy.kernels import KERNEL_NAMES, KERNEL_VARIANTS, make_kernel_inputs, run_kernel, time_calls
 from gyroproxy.cli import build_parser
 
 DATA = Path(__file__).parent / "data"
-
-#: The checks that draw one random state per call, swept over 20 seeds.
-KERNEL_ORACLES = ("field_oracle", "stream_variants", "shear_variants", "collision_oracle")
 
 #: The other checks run once, at the largest seed verify accepts: no check
 #: may derive a seed beyond it.
@@ -54,11 +51,11 @@ def run_check(name, case, seed):
            f"{case} seed {seed}: value {value!r}, limit {limit!r}, {timing}")
 
 
-# Seed-major, so the kernel-oracle checks of one seed share the state
+# Seed-major, so the kernel-contract checks of one seed share the state
 # checks._seeded builds once.
 @pytest.mark.parametrize("name, seed", [
-    (name, seed) for seed in range(20) for name in KERNEL_ORACLES
-] + [(name, TOP_SEED) for name in checks.CHECKS if name not in KERNEL_ORACLES])
+    (name, seed) for seed in range(20) for name in checks.KERNEL_CONTRACT_CHECKS
+] + [(name, TOP_SEED) for name in checks.CHECKS if name not in checks.KERNEL_CONTRACT_CHECKS])
 def test_check(name, seed):
     run_check(name, "sh03b-desk", seed)
 
@@ -66,7 +63,7 @@ def test_check(name, seed):
 # em04b-desk is the case two benchmark workloads run: n_theta = 6 and a
 # 144x48 padded bracket grid, where sh03b-desk has 8 and 72x24.
 @pytest.mark.parametrize("name, seed", [
-    (name, seed) for seed in range(3) for name in KERNEL_ORACLES
+    (name, seed) for seed in range(3) for name in checks.KERNEL_CONTRACT_CHECKS
 ] + [("nonlinear_slices", TOP_SEED)])
 def test_kernel_check_em04b(name, seed):
     run_check(name, "em04b-desk", seed)
@@ -107,16 +104,18 @@ def test_prime_size_elimination():
 
 
 def test_optimization_direction():
-    """Optimized stream/shear at least match the originals on this machine,
-    with the committed reference floors as the hard gate."""
+    """Each optimized kernel with an original at least matches it on this
+    machine, with the committed reference floors as the hard gate."""
     floors = json.loads((DATA / "reference_floors.json").read_text())
+    paired = [kernel for kernel in KERNEL_NAMES if "original" in KERNEL_VARIANTS[kernel]]
+    assert sorted(floors["floors"]) == sorted(paired)
     shape = make_case(floors["case"])
     reps, seed = floors["reps"], floors["seed"]
     h = random_state(shape, seed)
     inputs = make_kernel_inputs(shape, seed)
     lines = []
     ok = True
-    for kernel in ("stream", "shear"):
+    for kernel in paired:
         timed = time_calls({variant: functools.partial(run_kernel, kernel, h, inputs, variant)
                             for variant in ("original", "optimized")}, reps)
         orig, opt = timed["original"].median_s, timed["optimized"].median_s

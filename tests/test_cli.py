@@ -3,7 +3,6 @@ import io
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from gyroproxy.cli import (
     main,
     summarize,
 )
+from gyroproxy.padding import DEFAULT_PRIMES
 
 
 def parse_args(argv):
@@ -94,18 +94,18 @@ def test_subcommand_required():
 
 
 def test_plan_padding_args_roundtrip():
-    args = parse_args(["plan-padding", "--n", "48,479", "--rule", "5/3", "--primes", "2,3"])
+    args = parse_args(["plan-padding", "--n", "48,479", "--primes", "2,3"])
     assert args.n == (48, 479)
-    assert args.rule == Fraction(5, 3)
     assert args.primes == (2, 3)
+    assert parse_args(["plan-padding", "--n", "48"]).primes == DEFAULT_PRIMES
 
 
 @pytest.mark.parametrize("argv", [
     ["plan-padding", "--n", "0"],
     ["plan-padding", "--n", "ten"],
     ["plan-padding", "--n", ""],
-    ["plan-padding", "--n", "48", "--rule", "1/2"],
-    ["plan-padding", "--n", "48", "--rule", "fast"],
+    ["plan-padding", "--n", "48", "--primes", "4"],
+    ["plan-padding", "--n", "48", "--primes", "2,9"],
     ["plan-padding", "--n", "48", "--primes", "1,2"],
     ["fft-bench", "--sizes", "1,720"],
     ["fft-bench", "--batch", "0"],
@@ -198,6 +198,7 @@ def test_plan_padding_row_values(tmp_path, capsys):
     assert f"wrote {out}" in stdout
     meta, rows = read_report(out)
     assert "command=plan-padding" in meta
+    assert " rule=3/2 primes=2*3*5*7 " in meta
     # plan-padding takes no seed, so its report names none
     assert "seed=" not in meta
     assert meta.rstrip().endswith(f" cores={os.cpu_count()}")
@@ -437,7 +438,20 @@ def test_comm_estimate_non_finite_topology_figure(tmp_path, capsys, figure):
     code = main(["comm-estimate", "--case", "sh03b", "--topo-file", str(topo),
                  "--ranks", "4", "--nodes", "1"])
     assert code == EXIT_CONFIG
-    assert "nic_bandwidth" in capsys.readouterr().err
+    assert f"{topo}:6: nic_bandwidth must be finite" in capsys.readouterr().err
+
+
+def test_comm_estimate_out_of_range_topology_figure(tmp_path, capsys):
+    # a value that parses but that the topology rejects still names its line
+    topo = tmp_path / "box.topo"
+    topo.write_text(
+        "gpus_per_node=4\nintra_node_links=4\nintra_link_gbps=25\n"
+        "nic_layout=shared_bus\nnics_per_node = 0\nnic_bandwidth=25\n"
+    )
+    code = main(["comm-estimate", "--case", "sh03b", "--topo-file", str(topo),
+                 "--ranks", "4", "--nodes", "1"])
+    assert code == EXIT_CONFIG
+    assert f"{topo}:5: nics_per_node must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_comm_estimate_missing_topology_file(tmp_path):

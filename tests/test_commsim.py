@@ -17,7 +17,6 @@ from gyroproxy.commsim import (
     builtin_topology,
     collective_time,
     load_topology,
-    natural_plan,
     plan_decomposition,
     predict_report,
 )
@@ -29,9 +28,8 @@ FRONT = builtin_topology("frontier_like")
 
 VOLUME_SWEEP = np.logspace(6, 10, 9)  # 1 MB .. 10 GB
 
-# natural 24-rank / 6-node split, identical occupancy on both machines
-PLAN_S = natural_plan(24, 6, PERL)
-PLAN_D = CommPlan(4, 6, ranks_per_node=4)
+# natural 24-rank / 6-node split, dim1 filling each node: the same occupancy on both machines
+PLAN = CommPlan(4, 6, ranks_per_node=4)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def test_builtin_unknown_name():
     ("shared_bus_contention", float("nan")),
 ])
 def test_topology_field_validation(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         dataclasses.replace(PERL, **{field: value})
 
 
@@ -204,7 +202,7 @@ def test_plan_must_fit_node_capacity():
 
 def test_intra_node_alltoall_exact_share():
     # four ranks fill one node; each gets a quarter of the 100 GB/s fabric
-    t = collective_time("alltoall", 1e9, PLAN_S, PERL)
+    t = collective_time("alltoall", 1e9, PLAN, PERL)
     assert t == pytest.approx(1e9 / (25 * GB), rel=1e-12)
 
 
@@ -236,7 +234,7 @@ def test_time_linear_in_bytes_without_latency():
 
 def test_time_monotone_in_bytes():
     for kind in ("alltoall", "allreduce"):
-        times = [collective_time(kind, v, PLAN_S, PERL) for v in VOLUME_SWEEP]
+        times = [collective_time(kind, v, PLAN, PERL) for v in VOLUME_SWEEP]
         assert times == sorted(times)
         assert times[0] > 0.0
 
@@ -245,25 +243,24 @@ def test_neutralized_shared_bus_equals_dedicated():
     """With latency and contention switched off only bandwidths matter."""
     flat = dataclasses.replace(PERL, shared_bus_latency_penalty=0.0, shared_bus_contention=1.0)
     dedicated = dataclasses.replace(flat, nic_layout="per_gpu")
-    for kind, plan in [("alltoall", PLAN_S), ("allreduce", PLAN_S)]:
+    for kind in ("alltoall", "allreduce"):
         for v in (1e6, 1e9):
-            assert collective_time(kind, v, plan, flat) == \
-                collective_time(kind, v, plan, dedicated)
+            assert collective_time(kind, v, PLAN, flat) == collective_time(kind, v, PLAN, dedicated)
 
 
 def test_intra_alltoall_equal_across_machines():
     for v in VOLUME_SWEEP:
-        ts = collective_time("alltoall", v, PLAN_S, PERL)
-        td = collective_time("alltoall", v, PLAN_D, FRONT)
+        ts = collective_time("alltoall", v, PLAN, PERL)
+        td = collective_time("alltoall", v, PLAN, FRONT)
         assert abs(ts / td - 1.0) <= 0.01
 
 
 def test_shared_bus_hurts_allreduce_more_than_alltoall():
     for v in VOLUME_SWEEP:
-        r_a2a = collective_time("alltoall", v, PLAN_S, PERL) \
-            / collective_time("alltoall", v, PLAN_D, FRONT)
-        r_ar = collective_time("allreduce", v, PLAN_S, PERL) \
-            / collective_time("allreduce", v, PLAN_D, FRONT)
+        r_a2a = collective_time("alltoall", v, PLAN, PERL) \
+            / collective_time("alltoall", v, PLAN, FRONT)
+        r_ar = collective_time("allreduce", v, PLAN, PERL) \
+            / collective_time("allreduce", v, PLAN, FRONT)
         assert r_ar > r_a2a
         # cross-node reduce pays contention (1.5x) plus per-message latency
         assert 1.5 <= r_ar < 2.0
@@ -274,7 +271,7 @@ def test_collective_time_is_builtin_float(kind):
     # both groups exceed one rank, so the traffic fractions are counted;
     # a numpy scalar here reaches the CSV reports as "np.float64(...)"
     spread = CommPlan(8, 3, spread_nodes=2)
-    for plan, topo in ((PLAN_S, PERL), (PLAN_D, FRONT), (spread, PERL)):
+    for plan, topo in ((PLAN, PERL), (PLAN, FRONT), (spread, PERL)):
         assert plan.n1 > 1 and plan.n2 > 1
         assert type(collective_time(kind, 1e9, plan, topo)) is float
 
@@ -283,8 +280,9 @@ def test_sibling_share_discounts_cross_node_volume():
     # 8 ranks per frontier node: each rank has one same-GPU peer, and the
     # higher occupancy exactly cancels against the thinner bandwidth slice
     state = 10**10
-    v48 = alltoall_volume(VolumeModel(state, 0), natural_plan(48, 6, FRONT))
-    t48 = collective_time("alltoall", v48, natural_plan(48, 6, FRONT), FRONT)
+    plan = CommPlan(8, 6, ranks_per_node=8)  # 48 ranks, dim1 filling each of 6 nodes
+    v48 = alltoall_volume(VolumeModel(state, 0), plan)
+    t48 = collective_time("alltoall", v48, plan, FRONT)
     assert t48 == pytest.approx(state / (800 * GB), rel=1e-12)
 
 
@@ -328,21 +326,13 @@ def test_planner_rejects_impossible_requests():
         plan_decomposition(vm, 0, 6, PERL)
 
 
-def test_natural_plan_requires_even_fill():
-    assert natural_plan(24, 6, PERL) == CommPlan(4, 6, ranks_per_node=4)
-    with pytest.raises(ValueError):
-        natural_plan(23, 6, PERL)
-    with pytest.raises(ValueError):
-        natural_plan(48, 6, PERL)  # 8 per node exceeds the 4-slot capacity
-
-
 # ---------------------------------------------------------------------------
 # reports
 
 
 def test_predict_report_rows():
     case = make_case("sh03b")
-    rows = predict_report(case, PERL, PLAN_S)
+    rows = predict_report(case, PERL, PLAN)
     assert [(r.dimension, r.kind) for r in rows] == [("dim1", "alltoall"), ("dim2", "allreduce")]
     assert all(r.seconds > 0.0 for r in rows)
     assert rows[0].bytes_per_rank == pytest.approx(case.state_bytes / 32)
@@ -353,8 +343,7 @@ def test_predict_report_natural_volume_identity():
     # both reference machines
     case = make_case("sh03b")
     for topo in (PERL, FRONT):
-        plan = natural_plan(24, 6, topo)
-        row = predict_report(case, topo, plan)[0]
+        row = predict_report(case, topo, PLAN)[0]
         assert row.seconds == pytest.approx(case.state_bytes / (800 * GB), rel=1e-12)
 
 
@@ -365,7 +354,7 @@ def test_predict_report_degenerate_split_is_free():
 
 def test_predict_report_values_are_builtin_floats():
     for topo in (PERL, FRONT):
-        for row in predict_report(make_case("sh03b"), topo, natural_plan(24, 6, topo)):
+        for row in predict_report(make_case("sh03b"), topo, PLAN):
             assert type(row.seconds) is float
             assert type(row.bytes_per_rank) is float
 

@@ -1,6 +1,5 @@
 import math
 from bisect import bisect_left
-from fractions import Fraction
 
 import pytest
 
@@ -8,7 +7,6 @@ from gyroproxy.oracles import naive_padded_size, smooth_numbers
 from gyroproxy.padding import (
     DEFAULT_PRIMES,
     PaddedPlan,
-    cost_score,
     dealias_minimum,
     factorize,
     plan_padded_size,
@@ -42,9 +40,9 @@ def test_factorize_product_and_order():
 
 
 def test_cost_score():
-    assert cost_score([2, 2, 2, 3, 3]) == 12
-    assert cost_score([719]) == 719
-    assert cost_score([]) == 0
+    assert plan_padded_size(48).cost_score == 12  # 72 = 2*2*2*3*3
+    assert PaddedPlan(479, 719, 719, (719,)).cost_score == 719
+    assert PaddedPlan(1, 1, 1, ()).cost_score == 0
 
 
 @pytest.mark.parametrize("n, n_min", [
@@ -58,17 +56,10 @@ def test_dealias_minimum(n, n_min):
     assert dealias_minimum(n) == n_min
 
 
-def test_dealias_minimum_custom_rule():
-    assert dealias_minimum(10, rule=2) == 20
-    assert dealias_minimum(10, rule=Fraction(1, 1)) == 10
-    assert dealias_minimum(10, rule="5/3") == 17
-
-
 def test_dealias_minimum_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        dealias_minimum(0)
-    with pytest.raises(ValueError):
-        dealias_minimum(10, rule=Fraction(1, 2))
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            dealias_minimum(bad)
 
 
 @pytest.mark.parametrize("n, n_min, n_padded", [
