@@ -39,7 +39,7 @@ from . import __version__, checks
 from .commsim import (VolumeModel, builtin_topology, load_topology, plan_decomposition,
                       predict_report, topology_names)
 from .grid import make_case, case_names, random_state, substream
-from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, make_kernel_inputs, run_kernel, time_calls
+from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, VARIANTS, alloc_peak, make_kernel_inputs, run_kernel, time_calls
 from .padding import DEALIAS_RULE, DEFAULT_PRIMES, factorize, plan_padded_size
 
 EXIT_OK = 0
@@ -299,9 +299,11 @@ def _run_bench(args: argparse.Namespace) -> Report:
     h = random_state(shape, args.seed)
     inputs = make_kernel_inputs(shape, args.seed)
     calls = {(k, v): functools.partial(run_kernel, k, h, inputs, v, args.threads) for k, v in pairs}
-    rows = [(args.case, kernel, variant, args.reps, t.median_s, t.min_s, t.iqr_s, t.minflt_per_call, t.checksum)
+    rows = [(args.case, kernel, variant, args.reps, t.median_s, t.min_s, t.iqr_s, t.minflt_per_call,
+             alloc_peak(calls[kernel, variant]) / 1e6, t.checksum)
             for (kernel, variant), t in time_calls(calls, args.reps).items()]
-    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "checksum")
+    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb",
+               "checksum")
     meta = _meta(args, case=args.case, reps=args.reps, threads=args.threads)
     return Report(columns, rows, meta)
 

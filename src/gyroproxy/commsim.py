@@ -134,9 +134,10 @@ def builtin_topology(name: str) -> MachineTopology:
 def load_topology(path) -> MachineTopology:
     """Read a topology from a key=value text file.
 
-    One MachineTopology field per line, ``#`` starts a comment.  A field
-    with no default is required, except name, which defaults to the path.
-    Every rejection names the path, and the line when one is to blame.
+    One MachineTopology field per line, at most once, ``#`` starts a
+    comment.  A field with no default is required, except name, which
+    defaults to the path.  Every rejection names the path, and the line
+    when one is to blame.
     """
     types = typing.get_type_hints(MachineTopology)
     values: dict = {"name": str(path)}
@@ -151,6 +152,8 @@ def load_topology(path) -> MachineTopology:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown topology field {key!r}")
+            if key in linenos:
+                raise ValueError(f"{path}:{lineno}: {key} repeats line {linenos[key]}")
             try:
                 values[key] = types[key](value)
             except ValueError:

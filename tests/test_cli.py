@@ -238,7 +238,7 @@ def test_bench_report_schema_and_determinism(tmp_path):
     _, rows_b = read_report(b)
     assert "case=sh03b-desk" in meta
     assert list(rows_a[0]) == ["case", "kernel", "variant", "reps",
-                               "median_s", "min_s", "iqr_s", "minflt_per_call", "checksum"]
+                               "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb", "checksum"]
     assert [r["kernel"] for r in rows_a] == ["field", "shear"]
     # timings move between runs; checksums must not
     for ra, rb in zip(rows_a, rows_b):
@@ -370,7 +370,7 @@ NUMERIC_COLUMNS = {
     "fft-bench": (["--sizes", "30,32", "--batch", "4", "--reps", "3"],
                   ("size", "median_seconds", "min_seconds", "iqr_seconds")),
     "bench": (["--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3"],
-              ("reps", "median_s", "min_s", "iqr_s", "minflt_per_call")),
+              ("reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb")),
     "verify": ([], ("value", "limit", "margin", "seconds")),
     "comm-estimate": (["--case", "sh03b", "--topo", "perlmutter_like",
                        "--ranks", "24", "--nodes", "6"], ("bytes", "seconds")),

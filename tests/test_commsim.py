@@ -118,6 +118,11 @@ def test_load_topology_errors(tmp_path):
     with pytest.raises(ValueError, match="key=value"):
         load_topology(malformed)
 
+    repeated = tmp_path / "repeated.topo"
+    repeated.write_text("nic_bandwidth=25\n\nnic_bandwidth=0.5\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(repeated))}:3: nic_bandwidth repeats line 1"):
+        load_topology(repeated)
+
     unparsable = tmp_path / "float.topo"
     unparsable.write_text("# counts are integers\ngpus_per_node=4.0\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(unparsable))}:2: gpus_per_node"):

@@ -1,7 +1,7 @@
 import csv
 import dataclasses
+import functools
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from gyroproxy.grid import (
     random_state,
     substream,
 )
+from gyroproxy.kernels import alloc_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,13 +121,7 @@ def test_random_complex_layout_pinned(dims):
 def _random_state_extra_bytes(shape):
     """Traced peak of one random_state call beyond the state itself."""
     random_state(GridShape(1, 1, 1, 1, 1, 1), 1)  # numpy.random imports lazily
-    tracemalloc.start()
-    try:
-        h = random_state(shape, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - h.nbytes
+    return alloc_peak(functools.partial(random_state, shape, 1))
 
 
 def test_random_state_memory_budget():

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from gyroproxy import oracles, spectral
 from gyroproxy.checks import TRANSFORM_TOLERANCE, rel_err
-from gyroproxy.grid import substream
+from gyroproxy.grid import make_case, random_state, substream
+from gyroproxy.kernels import alloc_peak, make_kernel_inputs, run_kernel
 from gyroproxy.oracles import (
     dft_oracle_2d,
     hermitian_ky0,
@@ -426,3 +429,23 @@ def test_bracket_broadcast_equals_explicit_batch(monkeypatch):
     assert np.array_equal(got[-1, 2], bracket(f[-1, 2], g[2], *plans))
     # a single f against a batch of g broadcasts the other way
     assert np.array_equal(bracket(f[0, 0], g, *plans)[1], bracket(f[0, 0], g[1], *plans))
+
+
+@pytest.mark.parametrize("case, budget", [("sh03b-desk", None), ("em04b-desk", None), ("em04b-desk", 1 << 20)])
+def test_bracket_block_memory_budget(case, budget, monkeypatch):
+    # a block holds at most _BLOCK_BYTES, or one leading-axis row where a row
+    # counts more (the 1 MiB case), and _slice_bytes counts it to within
+    # array headers; with block temporaries kept to the end of each block,
+    # sh03b-desk read 4.0 MB here
+    if budget:
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)
+    shape = make_case(case)
+    inputs = make_kernel_inputs(shape, 1)
+    call = functools.partial(run_kernel, "nonlinear", random_state(shape, 1), inputs)
+    call()  # later calls write into its recycled output buffer
+    n_x, n_y = (plan.n_padded for plan in inputs["plans"])
+    row = shape.n_theta * spectral._slice_bytes(shape.n_radial, shape.n_toroidal, n_x, n_y)
+    block = max(row, spectral._BLOCK_BYTES // row * row)
+    # held for the whole call: g's two derivative fields and the factors i*k
+    fixed = 8 * shape.n_theta * 2 * n_x * n_y + 16 * 2 * shape.n_toroidal * shape.n_radial
+    assert block <= alloc_peak(call) - fixed <= block + 2**14
