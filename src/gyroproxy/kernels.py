@@ -337,14 +337,18 @@ def alloc_peak(call) -> int:
 
     What the call still holds when it returns, its output unless that came
     from a recycled buffer, is left out: the figure is the high-water mark of
-    its temporaries, as tracemalloc sees numpy's buffers.
+    its temporaries, as tracemalloc sees numpy's buffers.  A trace already
+    running is left running, with its peak reset to what is held now.
     """
     import tracemalloc  # here, not at the top: it loads pickle and tokenize, 0.1-0.2 MB resident
 
+    started = not tracemalloc.is_tracing()
     tracemalloc.start()
+    tracemalloc.reset_peak()
     try:
         out = call()  # held until current is read
         current, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     return peak - current

@@ -24,10 +24,9 @@ exact inverse of synthesis on retained modes.  Both scale inside the
 transforms (``norm="forward"``) and form only the n_ky retained rows: the
 x-stage is a pruned FFT (Markel 1971), the y-stage a product with a small
 real DFT matrix made by irfft/rfft of identity rows, so its ky = 0 and
-Nyquist handling is pocketfft's own.  :func:`bracket` runs a batch in
-blocks of whole leading-axis rows, as many as fit ``_BLOCK_BYTES`` at the
-bytes a block holds at its peak and never fewer than one; the block size
-never changes a result.
+Nyquist handling is pocketfft's own.  :func:`bracket` runs a batch one
+leading-axis row per synthesis and analysis pass; slices never mix, so
+results are the same as slice by slice.
 
 The unpaired Nyquist column
 ---------------------------
@@ -135,25 +134,6 @@ def bracket_plans(n_kx: int, n_ky: int):
     return plan_padded_size(n_kx), plan_padded_size(2 * n_ky - 1)
 
 
-#: Bytes a bracket block may hold at its peak, as _slice_bytes counts them.  A block is never
-#: less than one leading-axis row, and its size never changes a result.  On a 2-core x86-64
-#: host 1-8 MiB timed alike, 16+ slower.
-_BLOCK_BYTES = 1 << 21
-
-
-def _slice_bytes(n_kx: int, n_ky: int, n_x: int, n_y: int) -> int:
-    """Bytes one slice of a bracket block holds at the block's peak.
-
-    The peak is in one of two steps.  In to_real's y-GEMM a slice holds f's
-    two derivative spectra, their x-transformed rows split into real and
-    imaginary parts, and the two derivative fields being formed, while the
-    previous block's product is still alive.  In the product it holds the
-    two fields, the product and one temporary.  At bracket_plans sizes the
-    first is larger: about 42 B per padded point.
-    """
-    return 8 * max(4 * n_ky * (n_kx + n_x) + 3 * n_x * n_y, 4 * n_x * n_y)
-
-
 def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased Poisson bracket {f, g} = (dx f)(dy g) - (dy f)(dx g).
 
@@ -164,11 +144,9 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None
     convolution truncated to retained modes, with no aliased terms.
 
     Each operand's two derivatives come from one stacked to_real call, g's
-    once per call.  The batch runs in blocks of as many leading-axis rows as
-    fit _BLOCK_BYTES at the bytes a block holds at its peak (_slice_bytes),
-    and at least one.  f's x-transformed rows and derivative fields are
-    dropped as soon as they are used.  Slices never mix, so the block size
-    never changes a result.
+    once per call and f's once per leading-axis row, so a pass holds one
+    row's temporaries; f's derivative fields are dropped as soon as they are
+    used.  Slices never mix, so a result is the same as slice by slice.
 
     Args:
         f, g: spectra of identical logical shape; leading batch dimensions
@@ -203,13 +181,11 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None
     iky = 1j * np.arange(n_ky, dtype=float)[:, None]
     ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
     gd = np.broadcast_to(to_real(g[..., None, :, :] * ik, n_x, n_y), batch + (2, n_y, n_x))
-    blocks = out.reshape(batch + (n_ky, n_kx))
-    step = max(1, _BLOCK_BYTES // (_slice_bytes(n_kx, n_ky, n_x, n_y) * (int(np.prod(batch[1:])) or 1)))
-    for lo in range(0, batch[0], step):
-        rows = slice(lo, lo + step)
-        fd = to_real(f[rows, ..., None, :, :] * ik, n_x, n_y)
-        prod = fd[..., 0, :, :] * gd[rows, ..., 1, :, :]
-        prod -= fd[..., 1, :, :] * gd[rows, ..., 0, :, :]
+    result = out.reshape(batch + (n_ky, n_kx))
+    for row in range(batch[0]):
+        fd = to_real(f[row, ..., None, :, :] * ik, n_x, n_y)
+        prod = fd[..., 0, :, :] * gd[row, ..., 1, :, :]
+        prod -= fd[..., 1, :, :] * gd[row, ..., 0, :, :]
         del fd
-        blocks[rows] = to_spectrum(prod, n_kx, n_ky)
+        result[row] = to_spectrum(prod, n_kx, n_ky)
     return out

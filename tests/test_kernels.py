@@ -1,6 +1,7 @@
 import functools
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from gyroproxy.kernels import (
     KERNEL_VARIANTS,
     VARIANTS,
     Timing,
+    alloc_peak,
     checksum,
     collision_kernel,
     field_kernel,
@@ -570,6 +572,21 @@ def test_time_calls_interleaves_and_releases_every_output():
     # the checksum is the last rep's timed output: calls 10 (a) and 12 (b)
     assert timed["a"].checksum == checksum(np.full(4, 10.0))
     assert timed["b"].checksum == checksum(np.full(4, 12.0))
+
+
+def test_alloc_peak_under_a_running_trace():
+    # the caller's trace stays on, and its earlier peak is not the call's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        big = np.ones(1 << 20)
+        del big
+        assert alloc_peak(lambda: None) < 2**14
+        assert 2**23 <= alloc_peak(lambda: np.ones(1 << 20).sum()) < 2**23 + 2**14
+        assert tracemalloc.is_tracing()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def test_kernel_names_cover_dispatch():

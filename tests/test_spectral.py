@@ -380,72 +380,61 @@ def test_bracket_writes_into_out():
             bracket(f, g, *plans, out=bad)
 
 
-def _f_block_sizes(monkeypatch, f, g, plans):
-    """bracket(f, g) and the leading-axis rows of each block of f it synthesized."""
-    sizes = []
+def _to_real_batches(monkeypatch, f, g, plans):
+    """bracket(f, g) and the batch shape of each spectrum stack it synthesized."""
+    batches = []
     to_real = spectral.to_real
 
     def spy(spec, n_x, n_y):
-        sizes.append(len(spec))
+        batches.append(spec.shape[:-3])  # less the stacked pair of derivatives
         return to_real(spec, n_x, n_y)
 
     monkeypatch.setattr(spectral, "to_real", spy)
     out = bracket(f, g, *plans)
     monkeypatch.setattr(spectral, "to_real", to_real)
-    return out, sizes[1:]  # the first call synthesizes g
+    return out, batches
 
 
-@pytest.mark.parametrize("rows", ["two blocks and a part", "under one block"])
-def test_batched_bracket_equals_per_slice(rows, monkeypatch):
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1 << 20)  # a few slices per block
-    n_kx, n_ky = 48, 8
+def test_batched_bracket_equals_per_slice(monkeypatch):
+    n_kx, n_ky, n = 48, 8, 5
     plans = bracket_plans(n_kx, n_ky)
     gen = substream(28, 0)
-    batch = lambda n: np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
-    step = _f_block_sizes(monkeypatch, batch(32), batch(32), plans)[1][0]
-    assert 2 <= step < 32
-    n = 2 * step + 1 if rows == "two blocks and a part" else step - 1
-    f, g = batch(n), batch(n)
-    got, sizes = _f_block_sizes(monkeypatch, f, g, plans)
-    assert sizes == ([step, step, 1] if rows == "two blocks and a part" else [n])
+    batch = lambda: np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
+    f, g = batch(), batch()
+    got, batches = _to_real_batches(monkeypatch, f, g, plans)
+    assert batches == [(n,)] + [()] * n  # g's once, then f's one leading-axis row at a time
     assert np.array_equal(got, np.stack([bracket(f[i], g[i], *plans) for i in range(n)]))
 
 
 def test_bracket_broadcast_equals_explicit_batch(monkeypatch):
     # g varies along the trailing batch axis only, as phi does in the nonlinear kernel
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1 << 20)
-    n_kx, n_ky, n_t = 48, 8, 3
+    n_kx, n_ky, n, n_t = 48, 8, 5, 3
     plans = bracket_plans(n_kx, n_ky)
     gen = substream(29, 0)
     g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n_t)])
-    batch = lambda n: np.stack([random_spectrum(n_kx, n_ky, gen)
-                                for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
-    step = _f_block_sizes(monkeypatch, batch(16), g, plans)[1][0]
-    assert 2 <= step < 16
-    f = batch(2 * step + 1)
-    got, sizes = _f_block_sizes(monkeypatch, f, g, plans)
-    assert sizes == [step, step, 1]
+    f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
+    got, batches = _to_real_batches(monkeypatch, f, g, plans)
+    assert batches == [(n_t,)] * (1 + n)  # g's once, then f's one leading-axis row at a time
     assert np.array_equal(got, bracket(f, np.broadcast_to(g, f.shape).copy(), *plans))
     assert np.array_equal(got[-1, 2], bracket(f[-1, 2], g[2], *plans))
     # a single f against a batch of g broadcasts the other way
     assert np.array_equal(bracket(f[0, 0], g, *plans)[1], bracket(f[0, 0], g[1], *plans))
 
 
-@pytest.mark.parametrize("case, budget", [("sh03b-desk", None), ("em04b-desk", None), ("em04b-desk", 1 << 20)])
-def test_bracket_block_memory_budget(case, budget, monkeypatch):
-    # a block holds at most _BLOCK_BYTES, or one leading-axis row where a row
-    # counts more (the 1 MiB case), and _slice_bytes counts it to within
-    # array headers; with block temporaries kept to the end of each block,
-    # sh03b-desk read 4.0 MB here
-    if budget:
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)
+@pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"], ids=["sh03b-desk-None", "em04b-desk-None"])
+def test_bracket_block_memory_budget(case):
+    # a pass holds one leading-axis row of temporaries, counted here to within
+    # array headers; its peak is in to_real's y-GEMM (f's two derivative
+    # spectra, their x-transformed rows split into real and imaginary parts,
+    # the two fields being formed) or in the product (two fields, the product
+    # and one temporary), whichever is larger
     shape = make_case(case)
     inputs = make_kernel_inputs(shape, 1)
     call = functools.partial(run_kernel, "nonlinear", random_state(shape, 1), inputs)
     call()  # later calls write into its recycled output buffer
+    n_kx, n_ky = shape.n_radial, shape.n_toroidal
     n_x, n_y = (plan.n_padded for plan in inputs["plans"])
-    row = shape.n_theta * spectral._slice_bytes(shape.n_radial, shape.n_toroidal, n_x, n_y)
-    block = max(row, spectral._BLOCK_BYTES // row * row)
+    row = shape.n_theta * 8 * max(4 * n_ky * (n_kx + n_x) + 3 * n_x * n_y, 4 * n_x * n_y)
     # held for the whole call: g's two derivative fields and the factors i*k
-    fixed = 8 * shape.n_theta * 2 * n_x * n_y + 16 * 2 * shape.n_toroidal * shape.n_radial
-    assert block <= alloc_peak(call) - fixed <= block + 2**14
+    fixed = 8 * shape.n_theta * 2 * n_x * n_y + 16 * 2 * n_ky * n_kx
+    assert row <= alloc_peak(call) - fixed <= row + 2**14
