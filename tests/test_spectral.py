@@ -395,8 +395,10 @@ def _to_real_batches(monkeypatch, f, g, plans):
     return out, batches
 
 
-def test_batched_bracket_equals_per_slice(monkeypatch):
-    n_kx, n_ky, n = 48, 8, 5
+# the ids name the batch sizes of the old block rule; f now runs one row per pass
+@pytest.mark.parametrize("n", [5, 1], ids=["two blocks and a part", "under one block"])
+def test_batched_bracket_equals_per_slice(n, monkeypatch):
+    n_kx, n_ky = 48, 8
     plans = bracket_plans(n_kx, n_ky)
     gen = substream(28, 0)
     batch = lambda: np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
