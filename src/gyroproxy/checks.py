@@ -36,7 +36,7 @@ from .commsim import (
 from .grid import component_mean_abs, make_case, random_state, substream
 from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, checksum, make_kernel_inputs, run_kernel, time_calls
 from .padding import dealias_minimum, factorize, plan_padded_size
-from .spectral import bracket, bracket_plans, to_real, to_spectrum
+from .spectral import bracket, to_real, to_spectrum
 
 #: Relative tolerance of each kernel against its oracle.  shear is pure
 #: data movement and must match exactly.  perfbench/workloads.py keeps a
@@ -102,12 +102,11 @@ def _fields(seed: int):
 
 
 def _spectra(seed: int):
-    """34 random spectrum pairs on each bracket grid, with the grid's plans."""
+    """34 random spectrum pairs of each (n_kx, n_ky) in BRACKET_GRIDS."""
     gen = substream(seed, 5)
     for n_kx, n_ky in BRACKET_GRIDS:
-        plans = bracket_plans(n_kx, n_ky)
         for _ in range(34):
-            yield oracles.random_spectrum(n_kx, n_ky, gen), oracles.random_spectrum(n_kx, n_ky, gen), plans
+            yield oracles.random_spectrum(n_kx, n_ky, gen), oracles.random_spectrum(n_kx, n_ky, gen)
 
 
 def _comm_ratios():
@@ -202,14 +201,13 @@ def transform_parseval(case, seed):
 
 def bracket_oracle(case, seed):
     """Worst relative error of the bracket against direct mode-sum convolution."""
-    worst = max(rel_err(bracket(f, g, *plans), oracles.bracket_convolution_oracle(f, g))
-                for f, g, plans in _spectra(seed))
+    worst = max(rel_err(bracket(f, g), oracles.bracket_convolution_oracle(f, g)) for f, g in _spectra(seed))
     return worst, TOLERANCE["nonlinear"], worst <= TOLERANCE["nonlinear"]
 
 
 def bracket_self_zero(case, seed):
     """Largest |{f, f}| over the bracket sample; it must vanish."""
-    worst = max(float(np.max(np.abs(bracket(f, f, *plans)))) for f, _, plans in _spectra(seed))
+    worst = max(float(np.max(np.abs(bracket(f, f)))) for f, _ in _spectra(seed))
     return worst, SELF_BRACKET_LIMIT, worst <= SELF_BRACKET_LIMIT
 
 
@@ -258,7 +256,7 @@ def nonlinear_slices(case, seed):
     got = run_kernel("nonlinear", h, inputs)
     want = np.empty_like(h)
     for idx in np.ndindex(h.shape[:3]):
-        want[idx] = bracket(h[idx], inputs["phi"], *inputs["plans"])
+        want[idx] = bracket(h[idx], inputs["phi"])
     err = rel_err(got, want)
     ok = err <= SLICE_TOLERANCE and np.array_equal(got, run_kernel("nonlinear", h, inputs, threads=2))
     return err, SLICE_TOLERANCE, ok

@@ -207,15 +207,13 @@ def collision_kernel(h: np.ndarray, matrices: np.ndarray, threads: int = 1) -> n
     return out
 
 
-def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) -> np.ndarray:
+def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, threads: int = 1) -> np.ndarray:
     """Dealiased bracket of every (species, energy, xi, theta) slice with phi.
 
     Args:
         h: distribution state.
         phi: field moment [theta][toroidal][radial], bracketed against each
-            state slice at the matching theta.
-        plans: (plan_x, plan_y) pair satisfying the dealias bounds, e.g.
-            from spectral.bracket_plans.
+            state slice at the matching theta on bracket's own padded grid.
         threads: workers the velocity rows are split over, each bracketing
             straight into its slab of the output.  The result is identical
             for any thread count.
@@ -225,7 +223,7 @@ def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, plans, threads: int = 1) ->
         raise ValueError(f"phi shape {phi.shape} != field dims {(n_theta, n_ky, n_kx)}")
     batch = h.reshape(-1, n_theta, n_ky, n_kx)
     out = _fresh(batch.shape)
-    _split(len(batch), threads, lambda lo, hi: bracket(batch[lo:hi], phi, *plans, out=out[lo:hi]))
+    _split(len(batch), threads, lambda lo, hi: bracket(batch[lo:hi], phi, out=out[lo:hi]))
     return out.reshape(h.shape)
 
 
@@ -239,7 +237,8 @@ def make_kernel_inputs(shape: GridShape, seed: int) -> dict:
 
     Substreams (see grid.substream): 1 field weights, 2 shear shifts,
     3 collision matrices, 4 field moment.  The stencil is the fixed
-    DEFAULT_STENCIL; it is a scheme constant, not data.
+    DEFAULT_STENCIL; it is a scheme constant, not data.  ``plans`` is
+    the bracket's padded grid, for reports only: no kernel reads it.
     """
     m = shape.velocity_size
     return {
@@ -273,7 +272,7 @@ def run_kernel(kernel: str, h: np.ndarray, inputs: dict, variant: str = "optimiz
         return shear_kernel(h, inputs["shifts"], variant, threads)
     if kernel == "collision":
         return collision_kernel(h, inputs["matrices"], threads)
-    return nonlinear_kernel(h, inputs["phi"], inputs["plans"], threads)
+    return nonlinear_kernel(h, inputs["phi"], threads)
 
 
 def checksum(values: np.ndarray) -> str:

@@ -44,7 +44,7 @@ import functools
 
 import numpy as np
 
-from .padding import PaddedPlan, dealias_minimum, plan_padded_size
+from .padding import plan_padded_size
 
 
 def kx_derivative_values(n_kx: int) -> np.ndarray:
@@ -126,21 +126,22 @@ def to_spectrum(field: np.ndarray, n_kx: int, n_ky: int) -> np.ndarray:
 
 
 def bracket_plans(n_kx: int, n_ky: int):
-    """Padded-size plans (plan_x, plan_y) for bracket on an n_kx x n_ky spectrum.
+    """Padded-size plans (plan_x, plan_y) of bracket's grid for an n_kx x n_ky spectrum.
 
     The y plan is built from the full signed toroidal extent 2*n_ky - 1,
-    which is what the dealias rule applies to for a half spectrum.
+    which is what the dealias rule applies to for a half spectrum: its
+    products reach |ky| = 2(n_ky - 1), alias-free iff n_y > 3(n_ky - 1).
     """
     return plan_padded_size(n_kx), plan_padded_size(2 * n_ky - 1)
 
 
-def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None = None) -> np.ndarray:
+def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased Poisson bracket {f, g} = (dx f)(dy g) - (dy f)(dx g).
 
     Computed pseudo-spectrally: spectral derivatives (multiply by i*k with
     the radial Nyquist coefficient zeroed), synthesis on the padded grid,
-    pointwise products, truncation back to retained modes.  With plans
-    satisfying the dealias bounds the result equals the true quadratic
+    pointwise products, truncation back to retained modes.  On the grid of
+    bracket_plans(n_kx, n_ky) the result equals the true quadratic
     convolution truncated to retained modes, with no aliased terms.
 
     Each operand's two derivatives come from one stacked to_real call, g's
@@ -151,25 +152,18 @@ def bracket(f: np.ndarray, g: np.ndarray, plan_x, plan_y, out: np.ndarray | None
     Args:
         f, g: spectra of identical logical shape; leading batch dimensions
             broadcast against each other.
-        plan_x: PaddedPlan (or plain size) with n_padded >= ceil(3*n_kx/2).
-        plan_y: PaddedPlan (or plain size) with n_padded >= 3*n_ky - 2.
         out: optional C-contiguous complex array of the result's shape,
             written and returned in place of a fresh one.
 
     Raises:
-        ValueError: shape mismatch, plan below its dealias bound, or an
-            unusable ``out``.
+        ValueError: shape mismatch or an unusable ``out``.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     if f.shape[-2:] != g.shape[-2:]:
         raise ValueError(f"logical shapes differ: {f.shape[-2:]} vs {g.shape[-2:]}")
     n_ky, n_kx = f.shape[-2:]
-    n_x, n_y = (plan.n_padded if isinstance(plan, PaddedPlan) else int(plan) for plan in (plan_x, plan_y))
-    # y: 2*n_ky - 1 signed modes make products up to |ky| = 2(n_ky - 1), alias-free iff n_y > 3(n_ky - 1)
-    for axis, n, bound in (("x", n_x, dealias_minimum(n_kx)), ("y", n_y, 3 * n_ky - 2)):
-        if n < bound:
-            raise ValueError(f"plan_{axis} size {n} below dealias bound {bound}")
+    n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
     shape = np.broadcast_shapes(f.shape, g.shape)
     if out is None:
         out = np.empty(shape, dtype=complex)

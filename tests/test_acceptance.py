@@ -10,6 +10,7 @@ thresholds are the contract for this package; loosening them here is the
 same as shipping a regression.
 """
 
+import argparse
 import csv
 import functools
 import importlib.util
@@ -86,6 +87,21 @@ def test_perfbench_tolerances_match_checks(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
     assert workloads.TOLERANCE == checks.TOLERANCE
+
+
+@pytest.mark.parametrize("workload", ["step-sh03b", "plan-sweep"])
+def test_perfbench_traced_run(workload, monkeypatch):
+    # the traced pass reaches into the package: the tracer wraps kernels.bracket
+    # and spectral.plan_padded_size, and layers.py reads inputs["plans"]
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        run = importlib.import_module("run")
+        result, table, _ = run.run(argparse.Namespace(workload=workload, seed=1, seconds=0.05, trace=1))
+    finally:
+        for name in ("run", "workloads", "tracing", "layers"):
+            sys.modules.pop(name, None)
+    assert result["correct"] and result["failed"] == 0, result
+    assert "padding.n_x" in table
 
 
 def test_prime_size_elimination():

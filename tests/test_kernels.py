@@ -35,7 +35,7 @@ from gyroproxy.oracles import (
     shear_oracle,
     stream_oracle,
 )
-from gyroproxy.spectral import bracket, bracket_plans
+from gyroproxy.spectral import bracket
 
 SMALL = GridShape(n_radial=12, n_toroidal=4, n_theta=5, n_xi=3, n_energy=2, n_species=2)
 #: Odd in every spectral count as well as in theta.
@@ -237,7 +237,7 @@ def test_float_view_kernels_reject_complex_coefficients():
 
 def test_nonlinear_zero_field_moment():
     h, inputs = seeded(SMALL, 14)
-    out = nonlinear_kernel(h, np.zeros_like(inputs["phi"]), inputs["plans"])
+    out = nonlinear_kernel(h, np.zeros_like(inputs["phi"]))
     assert np.all(out == 0.0)
 
 
@@ -245,25 +245,25 @@ def test_nonlinear_state_equal_to_moment_vanishes():
     # every slice brackets with itself: exactly zero
     _, inputs = seeded(SMALL, 15)
     h = np.broadcast_to(inputs["phi"], SMALL.dims).copy()
-    out = nonlinear_kernel(h, inputs["phi"], inputs["plans"])
+    out = nonlinear_kernel(h, inputs["phi"])
     assert np.max(np.abs(out)) <= checks.SELF_BRACKET_LIMIT
 
 
 def test_nonlinear_rejects_wrong_phi_shape():
     h, inputs = seeded(SMALL, 16)
     with pytest.raises(ValueError):
-        nonlinear_kernel(h, inputs["phi"][:-1], inputs["plans"])
+        nonlinear_kernel(h, inputs["phi"][:-1])
 
 
 def test_nonlinear_is_per_slice_bracket():
     shape = GridShape(n_radial=16, n_toroidal=8, n_theta=2, n_xi=2, n_energy=1, n_species=1)
     h, inputs = seeded(shape, 17)
-    out = nonlinear_kernel(h, inputs["phi"], inputs["plans"])
+    out = nonlinear_kernel(h, inputs["phi"])
     for s in range(shape.n_species):
         for e in range(shape.n_energy):
             for x in range(shape.n_xi):
                 for t in range(shape.n_theta):
-                    want = bracket(h[s, e, x, t], inputs["phi"][t], *inputs["plans"])
+                    want = bracket(h[s, e, x, t], inputs["phi"][t])
                     assert rel_err(out[s, e, x, t], want) < checks.SLICE_TOLERANCE
 
 
@@ -274,7 +274,7 @@ def test_nonlinear_slice_matches_convolution_oracle():
     for t in range(shape.n_theta):
         h[0, 0, 0, t] = random_spectrum(16, 8, gen)
     phi = np.stack([random_spectrum(16, 8, gen) for _ in range(shape.n_theta)])
-    out = nonlinear_kernel(h, phi, bracket_plans(16, 8))
+    out = nonlinear_kernel(h, phi)
     for t in range(shape.n_theta):
         want = bracket_convolution_oracle(h[0, 0, 0, t], phi[t])
         assert rel_err(out[0, 0, 0, t], want) < TOLERANCE["nonlinear"]
@@ -287,7 +287,7 @@ def test_nonlinear_preserves_representability():
     for idx in np.ndindex(shape.dims[:4]):
         h[idx] = random_spectrum(8, 4, gen)
     phi = np.stack([random_spectrum(8, 4, gen) for _ in range(shape.n_theta)])
-    out = nonlinear_kernel(h, phi, bracket_plans(8, 4))
+    out = nonlinear_kernel(h, phi)
     for idx in np.ndindex(shape.dims[:4]):
         assert is_hermitian(out[idx])
         assert np.all(out[idx][:, 4] == 0.0)

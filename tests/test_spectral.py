@@ -14,6 +14,7 @@ from gyroproxy.oracles import (
     is_hermitian,
     random_spectrum,
 )
+from gyroproxy.padding import dealias_minimum
 from gyroproxy.spectral import (
     bracket,
     bracket_plans,
@@ -290,11 +291,18 @@ def test_y_matrices_are_cached_and_read_only():
 
 
 def test_min_padded_sizes():
-    f = random_spectrum(8, 4, substream(26, 0))
-    assert np.all(bracket(f, f, 12, 10) == 0.0)  # both dealias bounds exactly
     plan_x, plan_y = bracket_plans(48, 8)
     assert (plan_x.n_min, plan_y.n_logical, plan_y.n_min) == (72, 15, 23)
     assert plan_y.n_padded >= 3 * 8 - 2
+
+
+def test_bracket_plans_clear_dealias_bounds():
+    # bracket takes its grid from bracket_plans and checks no bound itself
+    for n_kx in range(1, 513):
+        assert bracket_plans(n_kx, 1)[0].n_padded >= dealias_minimum(n_kx)
+    for n_ky in range(1, 257):
+        n_y = bracket_plans(1, n_ky)[1].n_padded
+        assert n_y >= 3 * n_ky - 2 and n_y // 2 + 1 >= n_ky, n_ky
 
 
 def test_bracket_of_unit_cosines():
@@ -305,7 +313,7 @@ def test_bracket_of_unit_cosines():
     f[0, -1] = 0.5
     g = np.zeros((n_ky, n_kx), dtype=complex)
     g[1, 0] = 0.5
-    out = bracket(f, g, *bracket_plans(n_kx, n_ky))
+    out = bracket(f, g)
     want = np.zeros((n_ky, n_kx), dtype=complex)
     want[1, 1] = -0.25
     want[1, -1] = 0.25
@@ -316,9 +324,8 @@ def test_bracket_antisymmetric():
     gen = substream(22, 0)
     f = random_spectrum(8, 4, gen)
     g = random_spectrum(8, 4, gen)
-    plans = bracket_plans(8, 4)
-    fg = bracket(f, g, *plans)
-    gf = bracket(g, f, *plans)
+    fg = bracket(f, g)
+    gf = bracket(g, f)
     assert rel_err(fg, -gf) < 1e-13
 
 
@@ -327,60 +334,41 @@ def test_bracket_bilinear():
     f1 = random_spectrum(7, 3, gen)
     f2 = random_spectrum(7, 3, gen)
     g = random_spectrum(7, 3, gen)
-    plans = bracket_plans(7, 3)
-    lhs = bracket(2.0 * f1 - 0.5 * f2, g, *plans)
-    rhs = 2.0 * bracket(f1, g, *plans) - 0.5 * bracket(f2, g, *plans)
+    lhs = bracket(2.0 * f1 - 0.5 * f2, g)
+    rhs = 2.0 * bracket(f1, g) - 0.5 * bracket(f2, g)
     assert rel_err(lhs, rhs) < 1e-12
-
-
-def test_bracket_insensitive_to_extra_padding():
-    gen = substream(24, 0)
-    f = random_spectrum(8, 4, gen)
-    g = random_spectrum(8, 4, gen)
-    tight = bracket(f, g, *bracket_plans(8, 4))
-    loose = bracket(f, g, 32, 30)
-    assert rel_err(loose, tight) < 1e-12
 
 
 def test_bracket_output_stays_representable():
     gen = substream(25, 0)
     f = random_spectrum(8, 4, gen)
     g = random_spectrum(8, 4, gen)
-    out = bracket(f, g, *bracket_plans(8, 4))
+    out = bracket(f, g)
     assert is_hermitian(out)
     assert np.all(out[:, 4] == 0.0)
-
-
-def test_bracket_rejects_undersized_plans():
-    f = random_spectrum(8, 4, substream(26, 0))
-    with pytest.raises(ValueError):
-        bracket(f, f, 11, 30)  # x plan below ceil(3*8/2)
-    with pytest.raises(ValueError):
-        bracket(f, f, 12, 9)  # y plan below 3*4 - 2: signed modes span 2*4-1, products reach 3*(4-1)
 
 
 def test_bracket_rejects_shape_mismatch():
     f = random_spectrum(8, 4, substream(27, 0))
     g = random_spectrum(8, 3, substream(27, 0))
     with pytest.raises(ValueError):
-        bracket(f, g, 16, 16)
+        bracket(f, g)
 
 
 def test_bracket_writes_into_out():
     gen = substream(30, 0)
     f = np.stack([random_spectrum(8, 4, gen) for _ in range(3)])
     g = random_spectrum(8, 4, gen)
-    plans = bracket_plans(8, 4)
     out = np.full(f.shape, np.nan, dtype=complex)
-    assert bracket(f, g, *plans, out=out) is out
-    assert np.array_equal(out, bracket(f, g, *plans))
+    assert bracket(f, g, out=out) is out
+    assert np.array_equal(out, bracket(f, g))
     # a wrong shape or dtype, or a strided view whose reshape would be a copy
     for bad in (out[:2], out.real.copy(), np.empty((3, 4, 16), dtype=complex)[..., ::2]):
         with pytest.raises(ValueError):
-            bracket(f, g, *plans, out=bad)
+            bracket(f, g, out=bad)
 
 
-def _to_real_batches(monkeypatch, f, g, plans):
+def _to_real_batches(monkeypatch, f, g):
     """bracket(f, g) and the batch shape of each spectrum stack it synthesized."""
     batches = []
     to_real = spectral.to_real
@@ -390,7 +378,7 @@ def _to_real_batches(monkeypatch, f, g, plans):
         return to_real(spec, n_x, n_y)
 
     monkeypatch.setattr(spectral, "to_real", spy)
-    out = bracket(f, g, *plans)
+    out = bracket(f, g)
     monkeypatch.setattr(spectral, "to_real", to_real)
     return out, batches
 
@@ -399,28 +387,26 @@ def _to_real_batches(monkeypatch, f, g, plans):
 @pytest.mark.parametrize("n", [5, 1], ids=["two blocks and a part", "under one block"])
 def test_batched_bracket_equals_per_slice(n, monkeypatch):
     n_kx, n_ky = 48, 8
-    plans = bracket_plans(n_kx, n_ky)
     gen = substream(28, 0)
     batch = lambda: np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n)])
     f, g = batch(), batch()
-    got, batches = _to_real_batches(monkeypatch, f, g, plans)
+    got, batches = _to_real_batches(monkeypatch, f, g)
     assert batches == [(n,)] + [()] * n  # g's once, then f's one leading-axis row at a time
-    assert np.array_equal(got, np.stack([bracket(f[i], g[i], *plans) for i in range(n)]))
+    assert np.array_equal(got, np.stack([bracket(f[i], g[i]) for i in range(n)]))
 
 
 def test_bracket_broadcast_equals_explicit_batch(monkeypatch):
     # g varies along the trailing batch axis only, as phi does in the nonlinear kernel
     n_kx, n_ky, n, n_t = 48, 8, 5, 3
-    plans = bracket_plans(n_kx, n_ky)
     gen = substream(29, 0)
     g = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n_t)])
     f = np.stack([random_spectrum(n_kx, n_ky, gen) for _ in range(n * n_t)]).reshape(n, n_t, n_ky, n_kx)
-    got, batches = _to_real_batches(monkeypatch, f, g, plans)
+    got, batches = _to_real_batches(monkeypatch, f, g)
     assert batches == [(n_t,)] * (1 + n)  # g's once, then f's one leading-axis row at a time
-    assert np.array_equal(got, bracket(f, np.broadcast_to(g, f.shape).copy(), *plans))
-    assert np.array_equal(got[-1, 2], bracket(f[-1, 2], g[2], *plans))
+    assert np.array_equal(got, bracket(f, np.broadcast_to(g, f.shape).copy()))
+    assert np.array_equal(got[-1, 2], bracket(f[-1, 2], g[2]))
     # a single f against a batch of g broadcasts the other way
-    assert np.array_equal(bracket(f[0, 0], g, *plans)[1], bracket(f[0, 0], g[1], *plans))
+    assert np.array_equal(bracket(f[0, 0], g)[1], bracket(f[0, 0], g[1]))
 
 
 @pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"], ids=["sh03b-desk-None", "em04b-desk-None"])
