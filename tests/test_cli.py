@@ -67,6 +67,14 @@ def test_module_entry_point_runs():
         assert text in getattr(proc, stream)
 
 
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing; callers import the modules they use
+    env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]))
+    code = 'import sys, gyroproxy; print([m for m in sys.modules if m.startswith("gyroproxy.")])'
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def test_verify_passes_under_another_blas_core_type(tmp_path):
     # numpy's bundled OpenBLAS picks its kernel set per process from
     # OPENBLAS_CORETYPE; the battery must hold on a non-default one too,
@@ -110,12 +118,12 @@ def test_plan_padding_args_roundtrip():
     ["fft-bench", "--sizes", "1,720"],
     ["fft-bench", "--batch", "0"],
     ["fft-bench", "--reps", "2"],
+    ["fft-bench", "--seed", "1"],
     ["bench", "--case", "nope"],
     ["bench", "--case", "sh03b-desk", "--reps", "1"],
     ["bench", "--case", "sh03b-desk", "--kernels", "field,warp"],
     ["bench", "--case", "sh03b-desk", "--kernels", "field,field"],
-    ["bench", "--case", "sh03b-desk", "--variants", "debug"],
-    ["bench", "--case", "sh03b-desk", "--kernels", "field,collision", "--variants", "original"],
+    ["bench", "--case", "sh03b-desk", "--variants", "optimized"],
     ["bench", "--case", "sh03b-desk", "--seed", "-1"],
     ["bench", "--case", "sh03b-desk", "--threads", "0"],
     ["verify", "--case", "bogus"],
@@ -130,11 +138,10 @@ def test_invalid_configurations_rejected(argv, capsys):
 
 def test_invalid_configuration_exit_code(capsys):
     # a rejection found while running returns 2 from main; argparse is not involved
-    assert main(["bench", "--case", "sh03b-desk", "--kernels", "collision",
-                 "--variants", "original"]) == EXIT_CONFIG
+    assert main(["plan-padding", "--n", "48", "--primes", "4"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("gyroproxy: error: ")
-    assert "only stream and shear have 'original'" in err
+    assert "4 is not prime" in err
 
 
 def test_topo_and_topo_file_mutually_exclusive(capsys):
@@ -229,8 +236,7 @@ def test_fft_bench_report(tmp_path, capsys):
 
 
 def test_bench_report_schema_and_determinism(tmp_path):
-    argv = ["bench", "--case", "sh03b-desk", "--kernels", "field,shear",
-            "--variants", "optimized", "--reps", "3", "--seed", "99"]
+    argv = ["bench", "--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3", "--seed", "99"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == EXIT_OK
     assert main(argv + ["--out", str(b)]) == EXIT_OK
@@ -239,11 +245,11 @@ def test_bench_report_schema_and_determinism(tmp_path):
     assert "case=sh03b-desk" in meta
     assert list(rows_a[0]) == ["case", "kernel", "variant", "reps",
                                "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb", "checksum"]
-    assert [r["kernel"] for r in rows_a] == ["field", "shear"]
+    # every variant of each requested kernel, in kernel order
+    assert [(r["kernel"], r["variant"]) for r in rows_a] == [
+        ("field", "optimized"), ("shear", "original"), ("shear", "optimized")]
     # timings move between runs; checksums must not
-    for ra, rb in zip(rows_a, rows_b):
-        assert ra["checksum"] == rb["checksum"]
-        assert ra["variant"] == "optimized"
+    assert [r["checksum"] for r in rows_a] == [r["checksum"] for r in rows_b]
 
 
 def test_bench_checksums_do_not_depend_on_threads(tmp_path):
@@ -259,15 +265,14 @@ def test_bench_checksums_do_not_depend_on_threads(tmp_path):
 
 def test_compare_of_identical_reports_is_unity(tmp_path, capsys):
     bench = tmp_path / "bench.csv"
-    main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
-          "original", "--reps", "3", "--out", str(bench)])
+    main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--reps", "3", "--out", str(bench)])
     capsys.readouterr()
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--before", str(bench), "--after", str(bench),
                  "--out", str(out)])
     assert code == EXIT_OK
     _, rows = read_report(out)
-    assert [r["kernel"] for r in rows] == ["shear", "overall"]
+    assert [r["kernel"] for r in rows] == ["field", "overall"]
     assert all(float(r["ratio"]) == 1.0 for r in rows)
     assert rows[-1]["case"] == "all"
 
@@ -275,8 +280,7 @@ def test_compare_of_identical_reports_is_unity(tmp_path, capsys):
 def test_compare_rejects_mismatched_coverage(tmp_path, capsys):
     before = tmp_path / "before.csv"
     after = tmp_path / "after.csv"
-    main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
-          "original", "--reps", "3", "--out", str(before)])
+    main(["bench", "--case", "sh03b-desk", "--kernels", "collision", "--reps", "3", "--out", str(before)])
     main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--reps", "3",
           "--out", str(after)])
     capsys.readouterr()
@@ -302,8 +306,7 @@ def test_compare_pairs_two_variant_reports_by_variant(tmp_path, capsys):
 
 def test_compare_rejects_duplicate_rows(tmp_path, capsys):
     bench = tmp_path / "dup.csv"
-    main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
-          "original", "--reps", "3", "--out", str(bench)])
+    main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--reps", "3", "--out", str(bench)])
     lines = bench.read_text().splitlines(keepends=True)
     bench.write_text("".join(lines) + lines[-1])
     capsys.readouterr()
@@ -363,7 +366,7 @@ def test_comm_estimate_records_chosen_plan(tmp_path, capsys):
 
 
 # command -> (arguments, columns whose every cell is a number); "BENCH"
-# stands for a single-variant bench report made first, and verify's
+# stands for a one-row bench report made first, and verify's
 # report is the one the verify_main fixture wrote
 NUMERIC_COLUMNS = {
     "plan-padding": (["--n", "48,479"], ("n_logical", "n_min", "n_padded", "score")),
@@ -384,8 +387,8 @@ def test_report_cells_are_plain_numbers(command, tmp_path, request):
     args, numeric = NUMERIC_COLUMNS[command]
     bench = tmp_path / "bench.csv"
     if "BENCH" in args:
-        assert main(["bench", "--case", "sh03b-desk", "--kernels", "shear", "--variants",
-                     "optimized", "--reps", "3", "--out", str(bench)]) == EXIT_OK
+        assert main(["bench", "--case", "sh03b-desk", "--kernels", "field", "--reps", "3",
+                     "--out", str(bench)]) == EXIT_OK
     args = [str(bench) if a == "BENCH" else a for a in args]
     out = tmp_path / "report.csv"
     if command == "verify":

@@ -421,7 +421,7 @@ def test_bracket_block_memory_budget(case):
     call = functools.partial(run_kernel, "nonlinear", random_state(shape, 1), inputs)
     call()  # later calls write into its recycled output buffer
     n_kx, n_ky = shape.n_radial, shape.n_toroidal
-    n_x, n_y = (plan.n_padded for plan in inputs["plans"])
+    n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
     row = shape.n_theta * 8 * max(4 * n_ky * (n_kx + n_x) + 3 * n_x * n_y, 4 * n_x * n_y)
     # held for the whole call: g's two derivative fields and the factors i*k
     fixed = 8 * shape.n_theta * 2 * n_x * n_y + 16 * 2 * n_ky * n_kx
