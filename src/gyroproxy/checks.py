@@ -298,6 +298,16 @@ def kernel_checksums(case, seed):
     return bad, 0, bad == 0
 
 
+def golden_checksums(case: str, seed: int) -> dict:
+    """``"kernel/variant"`` -> checksum of every kernel variant's one-thread output at case and seed.
+
+    The digests are bitwise, so they hold only for one numpy version and
+    BLAS core type; ``tests/data/golden.json`` keys them by both.
+    """
+    h, inputs = _seeded(case, seed)
+    return {f"{k}/{v}": checksum(run_kernel(k, h, inputs, v)) for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]}
+
+
 #: Every check by name, in report order.
 CHECKS = {
     check.__name__: check

@@ -135,7 +135,7 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     meta.update(extra)
     meta["host"] = f"{platform.node()} {platform.system()} {platform.machine()} numpy-{np.__version__}"
     meta["blas_core"] = _blas_core()
-    meta["cores"] = os.cpu_count()
+    meta["cores"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return meta
 
 
@@ -293,10 +293,10 @@ def _run_bench(args: argparse.Namespace) -> Report:
     calls = {(k, v): functools.partial(run_kernel, k, h, inputs, v, args.threads)
              for k in args.kernels for v in KERNEL_VARIANTS[k]}
     rows = [(args.case, kernel, variant, args.reps, t.median_s, t.min_s, t.iqr_s, t.minflt_per_call,
-             alloc_peak(calls[kernel, variant]) / 1e6, t.checksum)
+             t.cpu_per_wall, alloc_peak(calls[kernel, variant]) / 1e6, t.checksum)
             for (kernel, variant), t in time_calls(calls, args.reps).items()]
-    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb",
-               "checksum")
+    columns = ("case", "kernel", "variant", "reps", "median_s", "min_s", "iqr_s", "minflt_per_call",
+               "cpu_per_wall", "alloc_mb", "checksum")
     meta = _meta(args, case=args.case, reps=args.reps, threads=args.threads)
     return Report(columns, rows, meta)
 

@@ -33,7 +33,8 @@ its first run.
 and the optimization gate all time through it.  It runs the callables it
 is given interleaved, rep by rep, each timed call after an untimed call
 of the same callable, and counts minor page faults around the timed
-calls only.  ``alloc_peak`` traces one more call's allocation peak.
+calls only, with the process CPU seconds they took.  ``alloc_peak``
+traces one more call's allocation peak.
 """
 
 from __future__ import annotations
@@ -286,13 +287,14 @@ def checksum(values: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class Timing:
-    """Seconds and minor page faults over one callable's timed calls."""
+    """Seconds, minor page faults and CPU use over one callable's timed calls."""
 
     reps: int
     median_s: float
     min_s: float
     iqr_s: float
     minflt_per_call: float
+    cpu_per_wall: float
     checksum: str
 
 
@@ -305,29 +307,36 @@ def time_calls(calls: dict, reps: int) -> dict:
     another pays page faults for the heap that one left behind.  Each
     output is dropped outside the timed interval, before the next call
     starts, so a kernel reuses its buffer (see _fresh).  Minor page faults
-    are read with getrusage around each timed call only.  The checksum of
-    the last rep's output pins what was timed.
+    and the process's CPU seconds (user plus system, every thread) are read
+    with getrusage around each timed call only; ``cpu_per_wall`` divides
+    the CPU seconds by the wall seconds of those calls, so it reads near
+    the number of busy threads.  The checksum of the last rep's output pins
+    what was timed.
     """
     if reps < 3:
         raise ValueError(f"reps must be >= 3, got {reps}")
     times = {label: [] for label in calls}
     faults = dict.fromkeys(calls, 0)
+    cpu = dict.fromkeys(calls, 0.0)
     digests = {}
     for rep in range(reps):
         for label, call in calls.items():
             call()
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
             out = call()
             times[label].append(time.perf_counter() - start)
-            faults[label] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            faults[label] += after.ru_minflt - before.ru_minflt
+            cpu[label] += after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
             if rep == reps - 1:
                 digests[label] = checksum(out)
             del out
     timings = {}
     for label, t in times.items():
         q1, _, q3 = statistics.quantiles(t, n=4)
-        timings[label] = Timing(reps, statistics.median(t), min(t), q3 - q1, faults[label] / reps, digests[label])
+        timings[label] = Timing(reps, statistics.median(t), min(t), q3 - q1, faults[label] / reps,
+                                cpu[label] / sum(t), digests[label])
     return timings
 
 

@@ -25,8 +25,9 @@ transforms (``norm="forward"``) and form only the n_ky retained rows: the
 x-stage is a pruned FFT (Markel 1971), the y-stage a product with a small
 real DFT matrix made by irfft/rfft of identity rows, so its ky = 0 and
 Nyquist handling is pocketfft's own.  :func:`bracket` runs a batch one
-leading-axis row per synthesis and analysis pass; slices never mix, so
-results are the same as slice by slice.
+leading-axis row per synthesis and analysis pass, with an operand's d/dx,
+d/dy pair on a new leading axis and the product formed in place in f's
+two fields; slices never mix, so results are the same as slice by slice.
 
 The unpaired Nyquist column
 ---------------------------
@@ -144,10 +145,12 @@ def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.n
     bracket_plans(n_kx, n_ky) the result equals the true quadratic
     convolution truncated to retained modes, with no aliased terms.
 
-    Each operand's two derivatives come from one stacked to_real call, g's
-    once per call and f's once per leading-axis row, so a pass holds one
-    row's temporaries; f's derivative fields are dropped as soon as they are
-    used.  Slices never mix, so a result is the same as slice by slice.
+    Each operand's d/dx, d/dy pair is one to_real call with the pair on a
+    new leading axis, so each field is a contiguous plane: g's once per
+    call, f's once per leading-axis row.  The product is formed in place in
+    f's two planes, released before the next row's synthesis, so a pass
+    holds one row's temporaries.  Slices never mix, so a result is the same
+    as slice by slice.
 
     Args:
         f, g: spectra of identical logical shape; leading batch dimensions
@@ -174,12 +177,16 @@ def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.n
     ikx = 1j * kx_derivative_values(n_kx)
     iky = 1j * np.arange(n_ky, dtype=float)[:, None]
     ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
-    gd = np.broadcast_to(to_real(g[..., None, :, :] * ik, n_x, n_y), batch + (2, n_y, n_x))
+
+    def fields(spec):  # spec's (d/dx, d/dy) fields, the pair on a new leading axis
+        return to_real(ik.reshape((2,) + (1,) * (spec.ndim - 2) + ik.shape[1:]) * spec, n_x, n_y)
+
+    gx, gy = (np.broadcast_to(d, batch + (n_y, n_x)) for d in fields(g))
     result = out.reshape(batch + (n_ky, n_kx))
     for row in range(batch[0]):
-        fd = to_real(f[row, ..., None, :, :] * ik, n_x, n_y)
-        prod = fd[..., 0, :, :] * gd[row, ..., 1, :, :]
-        prod -= fd[..., 1, :, :] * gd[row, ..., 0, :, :]
-        del fd
+        fx, fy = fields(f[row])
+        prod = np.multiply(fx, gy[row], out=fx)
+        prod -= np.multiply(fy, gx[row], out=fy)
         result[row] = to_spectrum(prod, n_kx, n_ky)
+        del fx, fy, prod  # views of both planes: drop them before the next row's synthesis
     return out

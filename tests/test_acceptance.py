@@ -25,7 +25,7 @@ import pytest
 from gyroproxy import checks
 from gyroproxy.grid import make_case, random_state
 from gyroproxy.kernels import KERNEL_NAMES, KERNEL_VARIANTS, make_kernel_inputs, run_kernel, time_calls
-from gyroproxy.cli import build_parser
+from gyroproxy.cli import _blas_core, build_parser
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,6 +77,25 @@ def test_seeded_inputs_are_shared_and_read_only():
         with pytest.raises(ValueError):
             a.flat[0] = 0
     assert np.array_equal(h, random_state(make_case("sh03b-desk"), 3))
+
+
+@pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"])
+def test_golden_checksums(case):
+    """Every kernel variant's one-thread output is bitwise what tests/data/golden.json holds.
+
+    The digests are keyed by numpy version and BLAS core type, and are
+    compared only under the key they were taken with; under another the
+    test skips and names the key.  A change that moves an output on purpose
+    rewrites its entry from checks.golden_checksums, so the diff shows what moved.
+    """
+    golden = json.loads((DATA / "golden.json").read_text())
+    key = f"numpy-{np.__version__} {_blas_core()}"
+    if key not in golden["checksums"]:
+        pytest.skip(f"no golden checksums for {key!r} (the file holds {sorted(golden['checksums'])})")
+    want = golden["checksums"][key][case]
+    got = checks.golden_checksums(case, golden["seed"])
+    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    report("golden checksums", not moved, f"{case} seed {golden['seed']} under {key!r}: moved {moved}")
 
 
 def test_perfbench_tolerances_match_checks(monkeypatch):

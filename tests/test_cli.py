@@ -14,6 +14,7 @@ from gyroproxy.cli import (
     EXIT_OK,
     Report,
     _blas_core,
+    _meta,
     build_parser,
     main,
     summarize,
@@ -93,6 +94,14 @@ def test_verify_passes_under_another_blas_core_type(tmp_path):
 def test_blas_core_unknown_without_a_corename_symbol(monkeypatch):
     monkeypatch.setattr("ctypes.CDLL", lambda path: object())
     assert _blas_core() == "unknown"
+
+
+def test_cores_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    # a process limited by taskset or a container's cpuset reports its own share
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _meta(parse_args(["plan-padding", "--n", "48"]))["cores"] == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _meta(parse_args(["plan-padding", "--n", "48"]))["cores"] == os.cpu_count()
 
 
 def test_subcommand_required():
@@ -208,7 +217,7 @@ def test_plan_padding_row_values(tmp_path, capsys):
     assert " rule=3/2 primes=2*3*5*7 " in meta
     # plan-padding takes no seed, so its report names none
     assert "seed=" not in meta
-    assert meta.rstrip().endswith(f" cores={os.cpu_count()}")
+    assert meta.rstrip().endswith(f" cores={len(os.sched_getaffinity(0))}")
     assert rows[0] == {"n_logical": "479", "n_min": "719", "n_padded": "720",
                        "factors": "2*2*2*2*3*3*5", "score": "19"}
     assert rows[1]["n_padded"] == "72"
@@ -244,7 +253,8 @@ def test_bench_report_schema_and_determinism(tmp_path):
     _, rows_b = read_report(b)
     assert "case=sh03b-desk" in meta
     assert list(rows_a[0]) == ["case", "kernel", "variant", "reps",
-                               "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb", "checksum"]
+                               "median_s", "min_s", "iqr_s", "minflt_per_call", "cpu_per_wall", "alloc_mb",
+                               "checksum"]
     # every variant of each requested kernel, in kernel order
     assert [(r["kernel"], r["variant"]) for r in rows_a] == [
         ("field", "optimized"), ("shear", "original"), ("shear", "optimized")]
@@ -373,7 +383,7 @@ NUMERIC_COLUMNS = {
     "fft-bench": (["--sizes", "30,32", "--batch", "4", "--reps", "3"],
                   ("size", "median_seconds", "min_seconds", "iqr_seconds")),
     "bench": (["--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3"],
-              ("reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "alloc_mb")),
+              ("reps", "median_s", "min_s", "iqr_s", "minflt_per_call", "cpu_per_wall", "alloc_mb")),
     "verify": ([], ("value", "limit", "margin", "seconds")),
     "comm-estimate": (["--case", "sh03b", "--topo", "perlmutter_like",
                        "--ranks", "24", "--nodes", "6"], ("bytes", "seconds")),

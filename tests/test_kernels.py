@@ -1,8 +1,11 @@
 import functools
+import resource
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -541,9 +544,24 @@ def test_time_calls_contract():
     assert t.median_s >= t.min_s > 0.0
     assert t.iqr_s >= 0.0
     assert t.minflt_per_call >= 0.0
+    assert t.cpu_per_wall >= 0.0
     assert t.checksum == checksum(call())
     # checksum depends on the data, not on how often it was timed
     assert time_calls({"shear": call}, reps=4)["shear"].checksum == t.checksum
+
+
+def test_time_calls_cpu_per_wall(monkeypatch):
+    # process CPU seconds over wall seconds of the timed calls: a process
+    # whose CPU clock runs at twice the wall clock reads 2, whatever the call
+    # does (a real one counts OpenBLAS's spinning threads too, so no real
+    # call has a fixed reading)
+    def getrusage(who):
+        return SimpleNamespace(ru_minflt=0, ru_utime=1.5 * time.perf_counter(), ru_stime=0.5 * time.perf_counter())
+
+    monkeypatch.setattr(resource, "getrusage", getrusage)
+    t = time_calls({"sleep": lambda: time.sleep(0.005) or np.zeros(1)}, reps=3)["sleep"]
+    assert t.minflt_per_call == 0.0
+    assert 2.0 <= t.cpu_per_wall < 2.05
 
 
 def test_time_calls_rejects_low_reps():

@@ -374,7 +374,7 @@ def _to_real_batches(monkeypatch, f, g):
     to_real = spectral.to_real
 
     def spy(spec, n_x, n_y):
-        batches.append(spec.shape[:-3])  # less the stacked pair of derivatives
+        batches.append(spec.shape[1:-2])  # less the leading pair of derivatives
         return to_real(spec, n_x, n_y)
 
     monkeypatch.setattr(spectral, "to_real", spy)
@@ -414,15 +414,17 @@ def test_bracket_block_memory_budget(case):
     # a pass holds one leading-axis row of temporaries, counted here to within
     # array headers; its peak is in to_real's y-GEMM (f's two derivative
     # spectra, their x-transformed rows split into real and imaginary parts,
-    # the two fields being formed) or in the product (two fields, the product
-    # and one temporary), whichever is larger
+    # the two fields being formed) or in to_spectrum (the two fields, the
+    # product formed in place in them, its analysed rows split and joined,
+    # their x-transform and the truncated spectrum), whichever is larger
     shape = make_case(case)
     inputs = make_kernel_inputs(shape, 1)
     call = functools.partial(run_kernel, "nonlinear", random_state(shape, 1), inputs)
     call()  # later calls write into its recycled output buffer
     n_kx, n_ky = shape.n_radial, shape.n_toroidal
     n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
-    row = shape.n_theta * 8 * max(4 * n_ky * (n_kx + n_x) + 3 * n_x * n_y, 4 * n_x * n_y)
+    row = shape.n_theta * 8 * max(4 * n_ky * (n_kx + n_x) + 2 * n_x * n_y,
+                                  2 * n_x * n_y + 6 * n_ky * n_x + 2 * n_ky * n_kx)
     # held for the whole call: g's two derivative fields and the factors i*k
     fixed = 8 * shape.n_theta * 2 * n_x * n_y + 16 * 2 * n_ky * n_kx
     assert row <= alloc_peak(call) - fixed <= row + 2**14
