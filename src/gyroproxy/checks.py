@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .commsim import (
     builtin_topology,
     collective_time,
     plan_decomposition,
+    predict_report,
 )
-from .grid import component_mean_abs, make_case, random_state, substream
-from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, checksum, make_kernel_inputs, run_kernel, time_calls
+from .grid import GridShape, component_mean_abs, make_case, random_state, substream
+from .kernels import (KERNEL_NAMES, KERNEL_VARIANTS, blas_core, checksum, make_kernel_inputs, run_kernel,
+                      time_calls)
 from .padding import dealias_minimum, factorize, plan_padded_size
 from .spectral import bracket, to_real, to_spectrum
 
@@ -298,14 +301,30 @@ def kernel_checksums(case, seed):
     return bad, 0, bad == 0
 
 
-def golden_checksums(case: str, seed: int) -> dict:
-    """``"kernel/variant"`` -> checksum of every kernel variant's one-thread output at case and seed.
+def golden() -> dict:
+    """The document ``tests/data/golden.json`` holds, built from the running code.
 
-    The digests are bitwise, so they hold only for one numpy version and
-    BLAS core type; ``tests/data/golden.json`` keys them by both.
+    ``states`` (seeded states) and ``exact`` (plan-padding and comm-estimate
+    answers) call no BLAS and hold on every host.  ``checksums`` digests each
+    kernel variant's one-thread output at ``seed``, keyed ``numpy-<version> <blas_core>``.
     """
-    h, inputs = _seeded(case, seed)
-    return {f"{k}/{v}": checksum(run_kernel(k, h, inputs, v)) for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]}
+    seed = 9
+    shapes = (GridShape(50, 10, 10, 10, 2, 1), make_case("sh03b-desk"), make_case("em04b-desk"))
+    states = {"x".join(map(str, s.dims)): {str(k): checksum(random_state(s, k)) for k in (7, 1234, 2026)}
+              for s in shapes}
+    padding = {str(p.n_logical): {**asdict(p), "cost_score": p.cost_score}
+               for p in map(plan_padded_size, (48, 479, 480, 719, 1000))}
+    comm = {}
+    for case, topo, ranks, nodes in (("sh03b", "perlmutter_like", 24, 6), ("sh03b", "frontier_like", 24, 6),
+                                     ("em04b", "frontier_like", 256, 32)):
+        shape, machine = make_case(case), builtin_topology(topo)
+        plan = plan_decomposition(VolumeModel.from_shape(shape), ranks, nodes, machine)
+        comm[f"{case} {topo} {ranks}/{nodes}"] = {
+            "plan": asdict(plan), "rows": [asdict(row) for row in predict_report(shape, machine, plan)]}
+    kernels = {case: {f"{k}/{v}": checksum(run_kernel(k, *_seeded(case, seed), v))
+                      for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]} for case in ("sh03b-desk", "em04b-desk")}
+    return {"seed": seed, "states": states, "exact": {"plan-padding": padding, "comm-estimate": comm},
+            "checksums": {f"numpy-{np.__version__} {blas_core()}": kernels}}
 
 
 #: Every check by name, in report order.

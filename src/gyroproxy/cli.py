@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import functools
 import io
 import math
@@ -39,7 +38,8 @@ from . import __version__, checks
 from .commsim import (VolumeModel, builtin_topology, load_topology, plan_decomposition,
                       predict_report, topology_names)
 from .grid import make_case, case_names, random_state, substream
-from .kernels import KERNEL_NAMES, KERNEL_VARIANTS, alloc_peak, make_kernel_inputs, run_kernel, time_calls
+from .kernels import (KERNEL_NAMES, KERNEL_VARIANTS, alloc_peak, blas_core, blas_threads, make_kernel_inputs,
+                      run_kernel, time_calls)
 from .padding import DEALIAS_RULE, DEFAULT_PRIMES, factorize, plan_padded_size
 
 EXIT_OK = 0
@@ -110,18 +110,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _blas_core() -> str:
-    """Core type of the OpenBLAS numpy links, found through numpy's core extension, else ``unknown``."""
-    symbols = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        corename = next(getattr(lib, name) for name in symbols if hasattr(lib, name))
-    except (AttributeError, OSError, StopIteration):
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
-
-
 def _meta(args: argparse.Namespace, **extra) -> dict:
     meta = {
         "tool": "gyroproxy",
@@ -134,7 +122,8 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
         del meta["seed"]
     meta.update(extra)
     meta["host"] = f"{platform.node()} {platform.system()} {platform.machine()} numpy-{np.__version__}"
-    meta["blas_core"] = _blas_core()
+    meta["blas_core"] = blas_core()
+    meta["blas_threads"] = blas_threads()
     meta["cores"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return meta
 

@@ -239,8 +239,14 @@ def allreduce_volume(vm: VolumeModel, plan: CommPlan) -> float:
     return vm.field_bytes_base * plan.n2 / plan.total_ranks * 2 * (plan.n2 - 1) / plan.n2
 
 
+def _slots(n1: int, spread_nodes: int, u: int) -> tuple[int, int]:
+    """(c1, q): a dim1 group of n1 takes c1 slots on each of its nodes, and q groups share them."""
+    c1 = -(-n1 // spread_nodes)
+    return c1, u // c1
+
+
 def _layout(plan: CommPlan, topo: MachineTopology) -> tuple[int, int, int]:
-    """The block layout, as (u, c1, q); the one place it is stated.
+    """The block layout, as (u, c1, q), with c1 and q from _slots.
 
     u ranks are active per node, each dim1 group takes c1 = ceil(n1/k)
     slots on each of its k = spread_nodes nodes, and q = u // c1 groups
@@ -250,8 +256,7 @@ def _layout(plan: CommPlan, topo: MachineTopology) -> tuple[int, int, int]:
     u = plan.ranks_per_node or min(plan.total_ranks, topo.ranks_per_node)
     if u > topo.ranks_per_node:
         raise ValueError(f"{u} ranks per node exceeds node capacity {topo.ranks_per_node}")
-    c1 = -(-plan.n1 // plan.spread_nodes)
-    q = u // c1
+    c1, q = _slots(plan.n1, plan.spread_nodes, u)
     if q < 1:
         raise ValueError(f"dim1 group of {plan.n1} over {plan.spread_nodes} node(s) needs {c1} slots "
                          f"per node but only {u} are active")
@@ -326,10 +331,11 @@ def _divisors(n: int) -> list[int]:
 def plan_decomposition(vm: VolumeModel, total_ranks: int, nodes: int, topo: MachineTopology) -> CommPlan:
     """Cheapest (n1, n2, spread_nodes) split of total_ranks over the nodes.
 
-    Enumerates every factor pair and every spread that fits under a
-    balanced fill of ceil(total/nodes) ranks per node, scoring each by
-    predicted alltoall + allreduce seconds.  Ties prefer larger n1, then
-    fewer spread nodes; spread_nodes = 1 is the intra-node placement.
+    Under a balanced fill of u = ceil(total/nodes) ranks per node, a split's
+    predicted seconds depend on its spread k only through its slots per
+    node, c1 = ceil(n1/k).  So each factor pair tries c1 = 1..min(n1, u) at
+    its fewest nodes, k = ceil(n1/c1), and keeps the splits that fit.  Ties
+    prefer larger n1, then fewer spread nodes (1 is the intra-node placement).
     """
     if total_ranks < 1 or nodes < 1:
         raise ValueError("total_ranks and nodes must be >= 1")
@@ -341,11 +347,9 @@ def plan_decomposition(vm: VolumeModel, total_ranks: int, nodes: int, topo: Mach
     candidates = []
     for n1 in _divisors(total_ranks):
         n2 = total_ranks // n1
-        for k in range(1, min(n1, nodes) + 1):
-            # restates _layout's c1, q: a CommPlan per candidate via _layout made plan-sweep's p50 1.6-2.5x slower
-            c1 = -(-n1 // k)
-            q = u // c1
-            if q >= 1 and -(-n2 // q) * k <= nodes:
+        for k in {-(-n1 // c1) for c1 in range(1, min(n1, u) + 1)}:
+            _, q = _slots(n1, k, u)  # q >= 1: ceil(n1/k) <= c1 <= u
+            if -(-n2 // q) * k <= nodes:
                 candidates.append(CommPlan(n1, n2, spread_nodes=k, ranks_per_node=u))
     if not candidates:
         raise ValueError(f"no feasible decomposition of {total_ranks} ranks on {nodes} node(s)")

@@ -170,9 +170,5 @@ def random_state(shape: GridShape, seed: int) -> np.ndarray:
 
 
 def component_mean_abs(values: np.ndarray) -> float:
-    """Mean absolute value over the real and imaginary components.
-
-    This is the statistic recorded in the generator golden file
-    (CSV columns seed,count,mean_abs).
-    """
+    """Mean absolute value over the real and imaginary components; uniform ones give 1/2."""
     return 0.5 * (float(np.mean(np.abs(values.real))) + float(np.mean(np.abs(values.imag))))

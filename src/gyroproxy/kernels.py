@@ -39,6 +39,7 @@ traces one more call's allocation peak.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import resource
@@ -360,3 +361,27 @@ def alloc_peak(call) -> int:
         if started:
             tracemalloc.stop()
     return peak - current
+
+
+def _openblas(stem: str, restype):
+    """OpenBLAS's ``stem`` function, found through numpy's core extension that links it, else None."""
+    names = (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_", f"openblas_{stem}")
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        fn = next(getattr(lib, name) for name in names if hasattr(lib, name))
+    except (AttributeError, OSError, StopIteration):
+        return None
+    fn.argtypes, fn.restype = (), restype
+    return fn
+
+
+def blas_core() -> str:
+    """Core type of the OpenBLAS numpy links (``SkylakeX``, ...), else ``unknown``; GEMM bits depend on it."""
+    fn = _openblas("get_corename", ctypes.c_char_p)
+    return fn().decode() if fn else "unknown"
+
+
+def blas_threads() -> int | str:
+    """Threads the OpenBLAS numpy links runs a BLAS call on, else ``unknown``."""
+    fn = _openblas("get_num_threads", ctypes.c_int)
+    return fn() if fn else "unknown"

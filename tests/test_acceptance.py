@@ -25,7 +25,7 @@ import pytest
 from gyroproxy import checks
 from gyroproxy.grid import make_case, random_state
 from gyroproxy.kernels import KERNEL_NAMES, KERNEL_VARIANTS, make_kernel_inputs, run_kernel, time_calls
-from gyroproxy.cli import _blas_core, build_parser
+from gyroproxy.cli import build_parser
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,23 +79,56 @@ def test_seeded_inputs_are_shared_and_read_only():
     assert np.array_equal(h, random_state(make_case("sh03b-desk"), 3))
 
 
-@pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"])
-def test_golden_checksums(case):
-    """Every kernel variant's one-thread output is bitwise what tests/data/golden.json holds.
+@pytest.fixture(scope="module")
+def golden():
+    """(the committed golden document, the one checks.golden builds now), as JSON reads both."""
+    return json.loads((DATA / "golden.json").read_text()), json.loads(json.dumps(checks.golden()))
 
-    The digests are keyed by numpy version and BLAS core type, and are
-    compared only under the key they were taken with; under another the
-    test skips and names the key.  A change that moves an output on purpose
-    rewrites its entry from checks.golden_checksums, so the diff shows what moved.
+
+def _leaves(doc, path=""):
+    """(path, value) of every entry of a golden document; a list is one value."""
+    if not isinstance(doc, dict):
+        yield path, doc
+        return
+    for key, value in doc.items():
+        yield from _leaves(value, f"{path}/{key}")
+
+
+def report_golden(name, want, got, golden):
+    """Fail on entries that moved, are stale (no longer built) or are new, and print the regenerated document.
+
+    The printed document keeps the file's checksums under other keys: a
+    change that moves an output on purpose rewrites the file from it, so
+    the diff shows what moved.
     """
-    golden = json.loads((DATA / "golden.json").read_text())
-    key = f"numpy-{np.__version__} {_blas_core()}"
-    if key not in golden["checksums"]:
-        pytest.skip(f"no golden checksums for {key!r} (the file holds {sorted(golden['checksums'])})")
-    want = golden["checksums"][key][case]
-    got = checks.golden_checksums(case, golden["seed"])
-    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
-    report("golden checksums", not moved, f"{case} seed {golden['seed']} under {key!r}: moved {moved}")
+    want, got = dict(_leaves(want)), dict(_leaves(got))
+    moved = sorted(path for path in want.keys() & got.keys() if want[path] != got[path])
+    stale, new = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    if moved or stale or new:
+        committed, built = golden
+        print(json.dumps({**built, "checksums": {**committed["checksums"], **built["checksums"]}}, indent=2))
+    report(name, not (moved or stale or new), f"moved {moved}, stale {stale}, new {new}")
+
+
+def test_golden_document(golden):
+    """The seeded states and the exact plan-padding and comm-estimate entries hold bitwise on every host."""
+    committed, built = ({k: v for k, v in doc.items() if k != "checksums"} for doc in golden)
+    report_golden("golden document", committed, built, golden)
+
+
+@pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"])
+def test_golden_checksums(case, golden):
+    """Every kernel variant's one-thread output is bitwise what the golden document holds.
+
+    The digests are compared only under the numpy version and BLAS core type
+    they were taken with; under another key the test skips and names it.
+    """
+    committed, built = golden
+    (key, kernels), = built["checksums"].items()
+    if key not in committed["checksums"]:
+        pytest.skip(f"no golden checksums for {key!r} (the file holds {sorted(committed['checksums'])})")
+    report_golden(f"golden checksums, {case} under {key!r}", committed["checksums"][key].get(case, {}),
+                  kernels[case], golden)
 
 
 def test_perfbench_tolerances_match_checks(monkeypatch):

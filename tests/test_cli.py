@@ -13,12 +13,11 @@ from gyroproxy.cli import (
     EXIT_IO,
     EXIT_OK,
     Report,
-    _blas_core,
-    _meta,
     build_parser,
     main,
     summarize,
 )
+from gyroproxy.kernels import blas_core, blas_threads
 from gyroproxy.padding import DEFAULT_PRIMES
 
 
@@ -93,15 +92,28 @@ def test_verify_passes_under_another_blas_core_type(tmp_path):
 
 def test_blas_core_unknown_without_a_corename_symbol(monkeypatch):
     monkeypatch.setattr("ctypes.CDLL", lambda path: object())
-    assert _blas_core() == "unknown"
+    assert blas_core() == "unknown"
+
+
+def test_header_reports_blas_threads_next_to_blas_core(monkeypatch):
+    # the count is read, never set: a child process shows the one its environment asked for
+    args = parse_args(["plan-padding", "--n", "48"])
+    assert list(args.run(args).meta)[-3:] == ["blas_core", "blas_threads", "cores"]
+    env = dict(os.environ, PYTHONPATH=str(Path(gyroproxy.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    code = "from gyroproxy import kernels; print(kernels.blas_threads())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "1\n", proc.stderr
+    monkeypatch.setattr("ctypes.CDLL", lambda path: object())
+    assert args.run(args).meta["blas_threads"] == blas_threads() == "unknown"
 
 
 def test_cores_counts_the_cpus_the_process_may_run_on(monkeypatch):
     # a process limited by taskset or a container's cpuset reports its own share
+    args = parse_args(["plan-padding", "--n", "48"])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert _meta(parse_args(["plan-padding", "--n", "48"]))["cores"] == 1
+    assert args.run(args).meta["cores"] == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _meta(parse_args(["plan-padding", "--n", "48"]))["cores"] == os.cpu_count()
+    assert args.run(args).meta["cores"] == os.cpu_count()
 
 
 def test_subcommand_required():

@@ -331,6 +331,50 @@ def test_planner_rejects_impossible_requests():
         plan_decomposition(vm, 0, 6, PERL)
 
 
+def _enumerated_plan(vm, ranks, nodes, topo):
+    """The cheapest plan by exhaustive enumeration.
+
+    Every divisor n1 and every spread 1..min(n1, nodes) whose _layout fits
+    the nodes is scored; the least (seconds, -n1, spread) wins.
+    """
+    u, best = -(-ranks // nodes), None
+    for n1 in (d for d in range(1, ranks + 1) if ranks % d == 0):
+        for k in range(1, min(n1, nodes) + 1):
+            plan = CommPlan(n1, ranks // n1, spread_nodes=k, ranks_per_node=u)
+            try:
+                _, _, q = _layout(plan, topo)
+            except ValueError:
+                continue
+            if -(-plan.n2 // q) * k <= nodes:
+                seconds = collective_time("alltoall", alltoall_volume(vm, plan), plan, topo) \
+                    + collective_time("allreduce", allreduce_volume(vm, plan), plan, topo)
+                if best is None or (seconds, -n1, k) < best[0]:
+                    best = (seconds, -n1, k), plan
+    return best[1]
+
+
+def _planner_queries():
+    """(case, topology, ranks, nodes): plan-sweep's 40, then 300 seeded ones of up to 600 ranks."""
+    for case, topo, ranks, fill in itertools.product(("sh03b", "em04b"), (PERL, FRONT),
+                                                     (16, 64, 512, 1024, 2048), (1, 2)):
+        yield case, topo, ranks, -(-ranks // topo.ranks_per_node) * fill
+    gen = np.random.default_rng(2026)
+    for _ in range(300):
+        case, topo = ("sh03b", "em04b")[gen.integers(2)], (PERL, FRONT)[gen.integers(2)]
+        ranks, fill = int(gen.integers(1, 601)), int(gen.integers(1, 4))
+        yield case, topo, ranks, -(-ranks // topo.ranks_per_node) * fill
+
+
+def test_planner_matches_exhaustive_enumeration():
+    # the search tries each slot count once, at its fewest nodes; the answer must not move
+    differ = []
+    for case, topo, ranks, nodes in _planner_queries():
+        vm = VolumeModel.from_shape(make_case(case))
+        if plan_decomposition(vm, ranks, nodes, topo) != _enumerated_plan(vm, ranks, nodes, topo):
+            differ.append((case, topo.name, ranks, nodes))
+    assert not differ
+
+
 # ---------------------------------------------------------------------------
 # reports
 
