@@ -17,7 +17,7 @@ from gyroproxy.cli import (
     main,
     summarize,
 )
-from gyroproxy.kernels import blas_core, blas_threads
+from gyroproxy.kernels import blas_core, blas_threads, run_kernel
 from gyroproxy.padding import DEFAULT_PRIMES
 
 
@@ -274,15 +274,20 @@ def test_bench_report_schema_and_determinism(tmp_path):
     assert [r["checksum"] for r in rows_a] == [r["checksum"] for r in rows_b]
 
 
-def test_bench_checksums_do_not_depend_on_threads(tmp_path):
-    rows = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
-        assert main(["bench", "--case", "sh03b-desk", "--reps", "3", "--threads", threads,
-                     "--out", str(out)]) == EXIT_OK
-        rows[threads] = {(r["kernel"], r["variant"]): r["checksum"] for r in read_report(out)[1]}
-    assert len(rows["1"]) == 7
-    assert rows["2"] == rows["1"]
+def test_bench_passes_its_thread_count_to_every_call(tmp_path, monkeypatch):
+    # that the thread count leaves the bits alone is held by the kernel
+    # contracts and test_thread_count_does_not_change_results
+    calls = []
+
+    def spy(kernel, h, inputs, variant="optimized", threads=1):
+        calls.append((kernel, threads))
+        return run_kernel(kernel, h, inputs, variant, threads)
+
+    monkeypatch.setattr("gyroproxy.cli.run_kernel", spy)
+    assert main(["bench", "--case", "sh03b-desk", "--kernels", "field,shear", "--reps", "3", "--threads", "2",
+                 "--out", str(tmp_path / "bench.csv")]) == EXIT_OK
+    assert {kernel for kernel, _ in calls} == {"field", "shear"}
+    assert {threads for _, threads in calls} == {2}
 
 
 def test_compare_of_identical_reports_is_unity(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gyroproxy import oracles, spectral
-from gyroproxy.checks import TRANSFORM_TOLERANCE, rel_err
+from gyroproxy.checks import rel_err
 from gyroproxy.grid import make_case, random_state, substream
 from gyroproxy.kernels import alloc_peak, make_kernel_inputs, run_kernel
 from gyroproxy.oracles import (
@@ -131,13 +131,6 @@ def test_transform_roundtrip_padded(n_kx, n_ky):
     assert rel_err(back, spec) < 1e-13
 
 
-def test_transform_roundtrip_same_size():
-    n_x, n_y = 12, 10
-    field = substream(8, 0).uniform(-1, 1, (n_y, n_x))
-    back = to_real(to_spectrum(field, n_x, n_y // 2 + 1), n_x, n_y)
-    assert rel_err(back, field) <= TRANSFORM_TOLERANCE
-
-
 def test_transforms_accept_batch_axes():
     spec = np.stack([random_spectrum(8, 3, substream(s, 0)) for s in range(4)]).reshape(2, 2, 3, 8)
     field = to_real(spec, 12, 9)
@@ -204,19 +197,6 @@ def test_random_spectrum_is_representable():
         # such a spectrum survives the synthesis round trip exactly
         back = to_spectrum(to_real(spec, n_kx, 8), n_kx, 4)
         assert rel_err(back, spec) < 1e-13
-
-
-def test_parseval_identity():
-    n_x, n_y = 9, 8
-    field = substream(17, 0).uniform(-1, 1, (n_y, n_x))
-    spec = to_spectrum(field, n_x, n_y // 2 + 1)
-    weights = np.full(n_y // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n_y % 2 == 0:
-        weights[-1] = 1.0
-    lhs = float(np.mean(field**2))
-    rhs = float(np.sum(weights[:, None] * np.abs(spec) ** 2))
-    assert abs(rhs - lhs) / lhs <= TRANSFORM_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
