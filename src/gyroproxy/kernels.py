@@ -24,10 +24,13 @@ workers of one pool per thread count that lives for the whole process.
 A slab runs the same numpy calls it would on one thread, so the thread
 count never changes a result, bit for bit.
 
-A kernel returns an uninitialised array, written in full, that no live
-array shares memory with, drawn from recycled buffers: as with device
-arrays created once, a step pays no page faults for its outputs after
-its first run.
+A kernel returns a fresh ``np.empty`` array, written in full.  At import
+the module sets glibc's malloc, through ``mallopt`` and two constants, to
+serve blocks of up to 32 MiB from the heap and to keep up to 256 MiB free
+at its top.  So freed outputs and temporaries stay mapped and serve later
+allocations of any shape: as with device arrays created once, a step pays
+next to no page faults after its first run.  On a libc with no ``mallopt``
+the calls are skipped, and the kernels stay correct but pay the faults.
 
 ``time_calls`` is the one timing loop: ``bench``, ``fft-bench``, ``verify``
 and the optimization gate all time through it.  It runs the callables it
@@ -44,8 +47,6 @@ import functools
 import hashlib
 import resource
 import statistics
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,27 +73,23 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(threads, thread_name_prefix="gyroproxy")
 
 
-_buffers: dict = {}
-_buffers_lock = threading.Lock()
+def _keep_freed_memory() -> None:
+    """Set glibc's malloc to keep freed blocks of up to 32 MiB mapped; a libc with no ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: larger blocks get a mapping of their own
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: free memory at the heap top kept before it is returned
+
+
+_keep_freed_memory()
 
 
 def _fresh(shape, dtype=complex) -> np.ndarray:
-    """An uninitialised C-order array that no live array shares memory with.
-
-    Buffers are kept per (shape, dtype) and handed out again once nothing
-    refers to them: numpy points every derived view (reshape, slice,
-    .view(float), a memoryview's view) at the owning buffer, so the
-    owner's refcount counts them all, where a weakref would not.
-    """
-    key = (tuple(shape), np.dtype(dtype))
-    with _buffers_lock:
-        bufs = _buffers.setdefault(key, [])
-        for buf in bufs:
-            # at rest: the list, the loop variable and getrefcount's argument
-            if sys.getrefcount(buf) == 3:
-                return buf.view()
-        bufs.append(np.empty(*key))
-        return bufs[-1].view()
+    """An uninitialised C-order array: the kernels' one allocation point, so a test can hand out junk-filled memory."""
+    return np.empty(shape, dtype)
 
 
 def _split(n: int, threads: int, fn) -> None:
@@ -307,11 +304,11 @@ def time_calls(calls: dict, reps: int) -> dict:
     callables allocate differently, and a call timed straight after
     another pays page faults for the heap that one left behind.  Each
     output is dropped outside the timed interval, before the next call
-    starts, so a kernel reuses its buffer (see _fresh).  Minor page faults
-    and the process's CPU seconds (user plus system, every thread) are read
-    with getrusage around each timed call only; ``cpu_per_wall`` divides
-    the CPU seconds by the wall seconds of those calls, so it reads near
-    the number of busy threads.  The checksum of the last rep's output pins
+    starts, so the heap serves the next output from its memory (see the
+    module docstring).  Minor page faults and the process's CPU seconds
+    (user plus system, every thread) are read with getrusage around each
+    timed call only; ``cpu_per_wall`` divides the CPU seconds by the wall
+    seconds of those calls, so it reads near the number of busy threads.  The checksum of the last rep's output pins
     what was timed.
     """
     if reps < 3:
@@ -344,10 +341,10 @@ def time_calls(calls: dict, reps: int) -> dict:
 def alloc_peak(call) -> int:
     """Traced allocation peak of one call of a zero-argument callable, in bytes.
 
-    What the call still holds when it returns, its output unless that came
-    from a recycled buffer, is left out: the figure is the high-water mark of
-    its temporaries, as tracemalloc sees numpy's buffers.  A trace already
-    running is left running, with its peak reset to what is held now.
+    What the call still holds when it returns, its output, is left out: the
+    figure is the high-water mark of its temporaries, as tracemalloc sees
+    numpy's buffers.  A trace already running is left running, with its
+    peak reset to what is held now.
     """
     import tracemalloc  # here, not at the top: it loads pickle and tokenize, 0.1-0.2 MB resident
 

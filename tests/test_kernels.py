@@ -51,6 +51,11 @@ def seeded(shape, seed):
     return random_state(shape, seed), make_kernel_inputs(shape, seed)
 
 
+def nan_filled(shape, dtype=complex):
+    """A stand-in for kernels._fresh whose memory is all NaN, so a cell a kernel leaves unwritten shows."""
+    return np.full(shape, np.nan, dtype)
+
+
 # ---------------------------------------------------------------------------
 # field
 
@@ -137,7 +142,8 @@ def test_shear_zero_shift_is_identity(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_shear_full_shift_clears_everything(variant):
+def test_shear_full_shift_clears_everything(variant, monkeypatch):
+    monkeypatch.setattr(kernels, "_fresh", nan_filled)
     h = random_state(SMALL, 8)
     shifts = np.full(SMALL.n_toroidal, SMALL.n_radial)
     assert np.all(shear_kernel(h, shifts, variant) == 0.0)
@@ -341,29 +347,15 @@ def test_one_thread_makes_no_pool_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# recycled output buffers
+# kernel outputs
 
 #: Arrays derived from an output that keep its memory alive once the
 #: output itself is dropped: strided, float view, one row, memoryview.
 DERIVED = (lambda a: a.reshape(-1)[::3], lambda a: a.view(float), lambda a: a[0], memoryview)
 
 
-def data_pointer(a):
-    return a.__array_interface__["data"][0]
-
-
-def buffer_count():
-    return sum(map(len, kernels._buffers.values()))
-
-
-@pytest.fixture
-def no_buffers(monkeypatch):
-    """An empty buffer set for one test, dropped with everything it made."""
-    monkeypatch.setattr(kernels, "_buffers", {})
-
-
 @pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
-def test_outputs_never_share_memory_with_live_arrays(kernel, variant, no_buffers):
+def test_outputs_never_share_memory_with_live_arrays(kernel, variant):
     h, inputs = seeded(SMALL, 38)
     held = run_kernel(kernel, h, inputs, variant)
     assert not np.shares_memory(held, run_kernel(kernel, h, inputs, variant))
@@ -372,35 +364,15 @@ def test_outputs_never_share_memory_with_live_arrays(kernel, variant, no_buffers
         before = np.array(kept)
         assert not np.shares_memory(np.asarray(kept), run_kernel(kernel, h, inputs, variant))
         assert np.array_equal(np.asarray(kept), before)
-    # fully dropped, an output's buffer serves the next call
-    pointer = data_pointer(held)
-    del held
-    assert data_pointer(run_kernel(kernel, h, inputs, variant)) == pointer
 
 
-def test_fresh_reuses_a_dropped_buffer(no_buffers):
-    # fails if the interpreter's refcounts stop reading as the allocator
-    # expects, so the reuse cannot stop without notice
-    a = kernels._fresh((3, 4))
-    pointer = data_pointer(a)
-    b = kernels._fresh((3, 4))
-    assert data_pointer(b) != pointer
-    del a
-    assert data_pointer(kernels._fresh((3, 4))) == pointer
-    assert data_pointer(kernels._fresh((3, 4), float)) != pointer
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("shifts", [(2, -1, 0, 12), (-12, 3, -4, 0)], ids=["partial", "full"])
-def test_shear_overwrites_recycled_memory(variant, shifts, no_buffers):
-    h = random_state(SMALL, 39)
-    rows = (-1, SMALL.n_toroidal, SMALL.n_radial)
-    junk = [kernels._fresh(h.reshape(rows).shape) for _ in range(2)]  # scratch and output
-    for a in junk:
-        a[...] = np.nan
-    del junk, a
-    assert np.array_equal(shear_kernel(h, shifts, variant), shear_oracle(h, shifts))
-    assert buffer_count() == 2
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
+def test_outputs_overwrite_junk_memory(kernel, variant, threads, monkeypatch):
+    h, inputs = seeded(SMALL, 39)
+    expected = run_kernel(kernel, h, inputs, variant, threads)
+    monkeypatch.setattr(kernels, "_fresh", nan_filled)
+    assert np.array_equal(run_kernel(kernel, h, inputs, variant, threads), expected)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -412,7 +384,7 @@ def test_shear_keeps_a_real_dtype(variant):
     assert np.array_equal(out, shear_oracle(h, shifts))
 
 
-def test_concurrent_callers_never_share_memory(no_buffers):
+def test_concurrent_callers_never_share_memory():
     # more callers than cores, switching threads as often as the
     # interpreter allows, each holding every output it gets
     h, inputs = seeded(SMALL, 41)
@@ -436,44 +408,21 @@ def test_concurrent_callers_never_share_memory(no_buffers):
     assert not any(w.is_alive() for w in workers)
     outs = [out for outs in held for out in outs]
     assert len(outs) == 200
-    assert len({data_pointer(out) for out in outs}) == 200
+    assert len({out.__array_interface__["data"][0] for out in outs}) == 200
 
 
-def test_fresh_waits_for_the_buffer_lock(no_buffers):
-    # the stress test above cannot split _fresh's check-then-take under the
-    # GIL, so this pins the lock itself: a caller blocks while it is held
-    got = []
-    with kernels._buffers_lock:
-        caller = threading.Thread(target=lambda: got.append(kernels._fresh((3, 5))))
-        caller.start()
-        caller.join(0.2)
-        assert caller.is_alive()
-    caller.join(timeout=10)
-    assert not caller.is_alive()
-    assert len(got) == 1 and got[0].shape == (3, 5)
-    assert buffer_count() == 1
-
-
-@pytest.mark.parametrize("kernel,variant", KERNEL_CASES)
-def test_buffer_set_grows_to_the_outputs_held(kernel, variant, no_buffers):
-    # one more than the outputs held: shear's original gathers into scratch
-    h, inputs = seeded(SMALL, 42)
-    held = []
-    for _ in range(8):
-        held = held[-2:]
-        held.append(run_kernel(kernel, h, inputs, variant))
-        assert buffer_count() <= len(held) + 1
-
-
-@pytest.mark.parametrize("kernel", ["stream", "shear", "collision"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_timed_calls_reuse_their_output_memory(kernel):
-    # each call drops its output before the next, which reuses it, so a
-    # call faults in far fewer pages than its output covers
+    # each call drops its output and temporaries before the next, and the
+    # heap keeps that memory mapped for it, so a call faults in far fewer
+    # pages than its output covers
     shape = make_case("sh03b-desk")
     pages = np.prod(shape.dims) * 16 / 4096
     h, inputs = seeded(shape, 43)
-    timed = time_calls({kernel: functools.partial(run_kernel, kernel, h, inputs)}, reps=3)
-    assert timed[kernel].minflt_per_call < pages / 10
+    timed = time_calls({v: functools.partial(run_kernel, kernel, h, inputs, v) for v in KERNEL_VARIANTS[kernel]},
+                       reps=3)
+    for t in timed.values():
+        assert t.minflt_per_call < pages / 10
 
 
 def test_run_kernel_rejects_unknown_names():

@@ -400,7 +400,7 @@ def test_bracket_block_memory_budget(case):
     shape = make_case(case)
     inputs = make_kernel_inputs(shape, 1)
     call = functools.partial(run_kernel, "nonlinear", random_state(shape, 1), inputs)
-    call()  # later calls write into its recycled output buffer
+    call()  # fills the cached y-DFT matrices, which the traced call only reads
     n_kx, n_ky = shape.n_radial, shape.n_toroidal
     n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
     row = shape.n_theta * 8 * max(4 * n_ky * (n_kx + n_x) + 2 * n_x * n_y,
