@@ -41,14 +41,11 @@ from .kernels import (KERNEL_NAMES, KERNEL_VARIANTS, blas_core, checksum, make_k
 from .padding import dealias_minimum, factorize, plan_padded_size
 from .spectral import bracket, to_real, to_spectrum
 
-#: Relative tolerance of each kernel against its oracle.  shear is pure
-#: data movement and must match exactly.  perfbench/workloads.py keeps a
-#: copy that a test holds equal to this one.
+#: Relative tolerance of each kernel against its oracle: for nonlinear, of
+#: the bracket against mode-sum convolution.  shear is pure data movement
+#: and must match exactly.  perfbench/workloads.py keeps a copy that a test
+#: holds equal to this one.
 TOLERANCE = {"field": 1e-13, "stream": 1e-13, "shear": 0.0, "collision": 1e-12, "nonlinear": 1e-12}
-
-#: Relative tolerance of the nonlinear kernel against one bracket per
-#: slice: tighter than its oracle's, since both run the same transforms.
-SLICE_TOLERANCE = 1e-13
 
 #: Relative bound of the transform round trip and of Parseval's identity,
 #: and the bound of |{f, f}|: a spectrum's bracket with itself is exactly zero.
@@ -123,7 +120,7 @@ def _comm_ratios():
     """
     shared = builtin_topology("perlmutter_like")
     dedicated = builtin_topology("frontier_like")
-    plan = CommPlan(4, 6, ranks_per_node=4)
+    plan = CommPlan(4, 6, spread_nodes=1, ranks_per_node=4)
     for volume in np.logspace(6, 10, 13):
         yield tuple(
             collective_time(kind, volume, plan, shared) / collective_time(kind, volume, plan, dedicated)
@@ -221,16 +218,15 @@ def kernel_contract(kernel, h, inputs):
 
     The error is the worst rel_err of the one-thread optimized output
     against ORACLES[kernel] and every other variant.  The limit is
-    TOLERANCE[kernel], but SLICE_TOLERANCE for nonlinear: its reference runs
-    the same transforms, where TOLERANCE["nonlinear"] bounds the bracket
-    against convolution.  ok also needs two threads to give the one-thread
-    output bit for bit.
+    TOLERANCE[kernel], but 0.0 for nonlinear: its reference runs the same
+    per-matrix GEMMs and per-row FFTs, so it must give the same bits.  ok
+    also needs two threads to give the one-thread output bit for bit.
     """
     got = run_kernel(kernel, h, inputs)
     wants = [ORACLES[kernel](h, inputs)]
     wants += [run_kernel(kernel, h, inputs, variant) for variant in KERNEL_VARIANTS[kernel] if variant != "optimized"]
     err = max(rel_err(got, want) for want in wants)
-    limit = SLICE_TOLERANCE if kernel == "nonlinear" else TOLERANCE[kernel]
+    limit = 0.0 if kernel == "nonlinear" else TOLERANCE[kernel]
     return err, limit, err <= limit and np.array_equal(got, run_kernel(kernel, h, inputs, threads=2))
 
 
@@ -262,8 +258,8 @@ def nonlinear_slices(case, seed):
 def comm_volumes(case, seed):
     """Relative error of two per-rank volumes against their closed forms."""
     vm = VolumeModel(state_bytes=96_000_000_000, field_bytes_base=8_000_000)
-    v1 = alltoall_volume(vm, CommPlan(8, 3, spread_nodes=2))
-    v2 = allreduce_volume(vm, CommPlan(4, 6))
+    v1 = alltoall_volume(vm, CommPlan(8, 3, spread_nodes=2, ranks_per_node=4))
+    v2 = allreduce_volume(vm, CommPlan(4, 6, spread_nodes=1, ranks_per_node=4))
     err = max(abs(v1 - 3.5e9) / 3.5e9, abs(v2 - 1e7 / 3) / (1e7 / 3))
     return err, 1e-12, err <= 1e-12
 
@@ -303,8 +299,10 @@ def golden() -> dict:
     """The document ``tests/data/golden.json`` holds, built from the running code.
 
     ``states`` (seeded states) and ``exact`` (plan-padding and comm-estimate
-    answers) call no BLAS and hold on every host.  ``checksums`` digests each
-    kernel variant's one-thread output at ``seed``, keyed ``numpy-<version> <blas_core>``.
+    answers) call no BLAS and hold on every host.  ``checksums``, keyed
+    ``numpy-<version> <blas_core>``, digests each kernel variant's one-thread
+    output at ``seed`` and holds the value of every check at seed 1234, as
+    ``verify`` reports them.
     """
     seed = 9
     shapes = (GridShape(50, 10, 10, 10, 2, 1), make_case("sh03b-desk"), make_case("em04b-desk"))
@@ -319,8 +317,11 @@ def golden() -> dict:
         plan = plan_decomposition(VolumeModel.from_shape(shape), ranks, nodes, machine)
         comm[f"{case} {topo} {ranks}/{nodes}"] = {
             "plan": asdict(plan), "rows": [asdict(row) for row in predict_report(shape, machine, plan)]}
-    kernels = {case: {f"{k}/{v}": checksum(run_kernel(k, *_seeded(case, seed), v))
-                      for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]} for case in ("sh03b-desk", "em04b-desk")}
+    kernels = {}
+    for case in ("sh03b-desk", "em04b-desk"):
+        verify = {name: check(case, 1234)[0] for name, check in CHECKS.items()}
+        kernels[case] = {**{f"{k}/{v}": checksum(run_kernel(k, *_seeded(case, seed), v))
+                            for k in KERNEL_NAMES for v in KERNEL_VARIANTS[k]}, "verify": verify}
     return {"seed": seed, "states": states, "exact": {"plan-padding": padding, "comm-estimate": comm},
             "checksums": {f"numpy-{np.__version__} {blas_core()}": kernels}}
 

@@ -11,10 +11,11 @@ Everything is closed-form; no traffic is simulated.
 Cost model (bandwidth-latency style, fixed here since no standard exists
 for this level of abstraction):
 
-* Ranks are laid out in blocks by the rule ``_layout`` states: each dim1
-  group is striped across ``spread_nodes`` nodes (one is intra-node),
-  dim2 stacks groups onto the remaining slots, and GPUs go round-robin
-  within a node, so two ranks share a GPU when processes_per_gpu > 1.
+* Ranks are laid out in blocks by the rule ``CommPlan.slots`` states, at
+  the occupancy the plan names: each dim1 group is striped across
+  ``spread_nodes`` nodes (one is intra-node), dim2 stacks groups onto the
+  remaining slots, and GPUs go round-robin within a node, so two ranks
+  share a GPU when processes_per_gpu > 1.
 * Peer traffic is split exactly, by counting pairs under that layout,
   into same-GPU (free, device-local), same-node (intra fabric), and
   cross-node shares.
@@ -168,27 +169,35 @@ def load_topology(path) -> MachineTopology:
         raise ValueError(f"{path}:{linenos[exc.field]}: {exc}") from None
 
 
+def _slots(n1: int, spread_nodes: int, u: int) -> tuple[int, int]:
+    """(c1, q): a dim1 group of n1 takes c1 slots on each of its nodes, and q groups share them."""
+    c1 = -(-n1 // spread_nodes)
+    return c1, u // c1
+
+
 @dataclass(frozen=True)
 class CommPlan:
-    """An n1 x n2 rank-grid split, each dim1 group over spread_nodes nodes.
+    """An n1 x n2 rank-grid split, laid out ranks_per_node active ranks to a node.
 
-    ranks_per_node is the occupancy the plan was laid out for (active
-    ranks per node); when None it defaults at evaluation time to filling
-    whole nodes, min(total_ranks, topology capacity).
+    Each dim1 group is striped over spread_nodes nodes.  A group that does
+    not fit the occupancy is rejected here; collective_time holds the
+    occupancy to the pricing topology's capacity.
     """
 
     n1: int
     n2: int
-    spread_nodes: int = 1
-    ranks_per_node: int | None = None
+    spread_nodes: int
+    ranks_per_node: int
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("group sizes must be >= 1")
         if self.spread_nodes < 1:
             raise ValueError("spread_nodes must be >= 1")
-        if self.ranks_per_node is not None and self.ranks_per_node < 1:
-            raise ValueError("ranks_per_node must be >= 1 when given")
+        c1, q = self.slots
+        if q < 1:
+            raise ValueError(f"dim1 group of {self.n1} over {self.spread_nodes} node(s) needs {c1} slots "
+                             f"per node but only {self.ranks_per_node} are active")
 
     @property
     def total_ranks(self) -> int:
@@ -198,6 +207,15 @@ class CommPlan:
     def placement(self) -> str:
         """``dim1_intra_node`` when each dim1 group sits on one node, else ``dim1_spread``."""
         return "dim1_intra_node" if self.spread_nodes == 1 else "dim1_spread"
+
+    @property
+    def slots(self) -> tuple[int, int]:
+        """The block layout, as (c1, q) from _slots with u = ranks_per_node.
+
+        Rank (i, j) of the n1 x n2 grid sits on node (j//q)*k + i//c1, slot
+        (j%q)*c1 + i%c1, GPU slot % gpus_per_node, for k = spread_nodes.
+        """
+        return _slots(self.n1, self.spread_nodes, self.ranks_per_node)
 
 
 @dataclass(frozen=True)
@@ -239,39 +257,16 @@ def allreduce_volume(vm: VolumeModel, plan: CommPlan) -> float:
     return vm.field_bytes_base * plan.n2 / plan.total_ranks * 2 * (plan.n2 - 1) / plan.n2
 
 
-def _slots(n1: int, spread_nodes: int, u: int) -> tuple[int, int]:
-    """(c1, q): a dim1 group of n1 takes c1 slots on each of its nodes, and q groups share them."""
-    c1 = -(-n1 // spread_nodes)
-    return c1, u // c1
-
-
-def _layout(plan: CommPlan, topo: MachineTopology) -> tuple[int, int, int]:
-    """The block layout, as (u, c1, q), with c1 and q from _slots.
-
-    u ranks are active per node, each dim1 group takes c1 = ceil(n1/k)
-    slots on each of its k = spread_nodes nodes, and q = u // c1 groups
-    share a band of k nodes.  Rank (i, j) of the n1 x n2 grid sits on
-    node (j//q)*k + i//c1, slot (j%q)*c1 + i%c1, GPU slot % gpus_per_node.
-    """
-    u = plan.ranks_per_node or min(plan.total_ranks, topo.ranks_per_node)
-    if u > topo.ranks_per_node:
-        raise ValueError(f"{u} ranks per node exceeds node capacity {topo.ranks_per_node}")
-    c1, q = _slots(plan.n1, plan.spread_nodes, u)
-    if q < 1:
-        raise ValueError(f"dim1 group of {plan.n1} over {plan.spread_nodes} node(s) needs {c1} slots "
-                         f"per node but only {u} are active")
-    return u, c1, q
-
-
-def _pair_class_fractions(kind: str, plan: CommPlan, c1: int, q: int, gpus: int):
+def _pair_class_fractions(kind: str, plan: CommPlan, gpus: int):
     """Exact (same_gpu, same_node, cross_node) traffic fractions, as built-in floats.
 
-    Counted under ``_layout``'s rule, for groups of more than one rank.
-    An alltoall pair's class does not depend on its dim1 group j, so one
-    group is counted from per-node and per-(node, GPU) histograms.  An
-    allreduce ring edge j -> j+1 (mod n2) does not depend on i, so one
-    column's n2 edges are counted and multiplied by n1.
+    Counted under the plan's block layout (``CommPlan.slots``), for groups
+    of more than one rank.  An alltoall pair's class does not depend on its
+    dim1 group j, so one group is counted from per-node and per-(node, GPU)
+    histograms.  An allreduce ring edge j -> j+1 (mod n2) does not depend on
+    i, so one column's n2 edges are counted and multiplied by n1.
     """
+    c1, q = plan.slots
     if kind == "alltoall":
         i = np.arange(plan.n1)
         band = i // c1
@@ -306,11 +301,13 @@ def collective_time(kind: str, bytes_per_rank: float, plan: CommPlan, topo: Mach
         raise ValueError(f"kind must be 'alltoall' or 'allreduce', got {kind!r}")
     if bytes_per_rank < 0:
         raise ValueError("bytes_per_rank must be >= 0")
+    u = plan.ranks_per_node
+    if u > topo.ranks_per_node:
+        raise ValueError(f"{u} ranks per node exceeds node capacity {topo.ranks_per_node}")
     group = plan.n1 if kind == "alltoall" else plan.n2
     if bytes_per_rank == 0 or group == 1:
         return 0.0
-    u, c1, q = _layout(plan, topo)
-    _, f_node, f_inter = _pair_class_fractions(kind, plan, c1, q, topo.gpus_per_node)
+    _, f_node, f_inter = _pair_class_fractions(kind, plan, topo.gpus_per_node)
     bw_intra = topo.intra_aggregate_gbps * GB / u
     bw_nic = topo.nic_pool_gbps * GB / u
     if topo.nic_layout == "shared_bus":

@@ -4,6 +4,8 @@ The correctness properties live in ``gyroproxy/checks.py``, where
 ``gyroproxy verify`` runs them too; here every check runs on sh03b-desk
 at the top seed, the kernel-contract checks also at seeds 0-19, and the
 kernel-contract checks run on em04b-desk at seeds 0-2 and the top seed.
+The exact nonlinear contract also runs under four other BLAS core types,
+one child process each.
 Each test prints one PASS/FAIL line with the numbers it gated on, so a
 bare ``pytest -s tests/test_acceptance.py`` reads as a checklist.  The
 thresholds are the contract for this package; loosening them here is the
@@ -15,8 +17,11 @@ import csv
 import functools
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,7 @@ import pytest
 
 from gyroproxy import checks
 from gyroproxy.grid import make_case, random_state
-from gyroproxy.kernels import KERNEL_NAMES, KERNEL_VARIANTS, make_kernel_inputs, run_kernel, time_calls
+from gyroproxy.kernels import KERNEL_NAMES, KERNEL_VARIANTS, blas_core, make_kernel_inputs, run_kernel, time_calls
 from gyroproxy.cli import build_parser
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +72,43 @@ def test_check(name, seed):
     (name, seed) for seed in (0, 1, 2, TOP_SEED) for name in checks.KERNEL_CONTRACT_CHECKS])
 def test_kernel_check_em04b(name, seed):
     run_check(name, "em04b-desk", seed)
+
+
+#: OpenBLAS core types besides the host's own that an AVX-512 x86-64 CPU can
+#: select through OPENBLAS_CORETYPE; Prescott reports itself as Katmai.
+CORE_TYPES = ("Haswell", "Sandybridge", "Nehalem", "Prescott")
+
+
+def _contract_under(core_type):
+    """(the core type OpenBLAS reports, nonlinear_slices' error on both desk cases) in a child process."""
+    code = ("from gyroproxy import checks, kernels; print(kernels.blas_core(), "
+            "*(checks.nonlinear_slices(case, 0)[0] for case in ('sh03b-desk', 'em04b-desk')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(checks.__file__).resolve().parents[1]),
+               OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    core, *errors = proc.stdout.split()
+    return core, [float(e) for e in errors]
+
+
+@pytest.fixture(scope="module")
+def core_type_contracts():
+    """CORE_TYPES -> _contract_under each, two children at a time."""
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(CORE_TYPES, pool.map(_contract_under, CORE_TYPES)))
+
+
+@pytest.mark.parametrize("core_type", CORE_TYPES)
+def test_nonlinear_contract_is_exact_under_core_type(core_type, core_type_contracts):
+    """The kernel and its per-slice reference give the same bits on every BLAS backend, not only the host's."""
+    ran = {blas_core(): "this process"}
+    for earlier in CORE_TYPES[:CORE_TYPES.index(core_type)]:
+        ran.setdefault(core_type_contracts[earlier][0], earlier)
+    core, errors = core_type_contracts[core_type]
+    if core in ran:
+        pytest.skip(f"{core_type} falls back to {core}, which {ran[core]} already ran")
+    report(f"nonlinear contract under {core_type}", errors == [0.0, 0.0],
+           f"blas_core {core}, error {errors} on sh03b-desk and em04b-desk at seed 0, limit 0.0")
 
 
 def test_seeded_inputs_are_shared_and_read_only():
@@ -117,10 +159,10 @@ def test_golden_document(golden):
 
 @pytest.mark.parametrize("case", ["sh03b-desk", "em04b-desk"])
 def test_golden_checksums(case, golden):
-    """Every kernel variant's one-thread output is bitwise what the golden document holds.
+    """Every kernel variant's one-thread output, and every verify value, is what the golden document holds.
 
-    The digests are compared only under the numpy version and BLAS core type
-    they were taken with; under another key the test skips and names it.
+    They are compared only under the numpy version and BLAS core type they
+    were taken with; under another key the test skips and names it.
     """
     committed, built = golden
     (key, kernels), = built["checksums"].items()

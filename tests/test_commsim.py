@@ -10,7 +10,6 @@ from gyroproxy.commsim import (
     CommPlan,
     MachineTopology,
     VolumeModel,
-    _layout,
     _pair_class_fractions,
     allreduce_volume,
     alltoall_volume,
@@ -29,7 +28,7 @@ FRONT = builtin_topology("frontier_like")
 VOLUME_SWEEP = np.logspace(6, 10, 9)  # 1 MB .. 10 GB
 
 # natural 24-rank / 6-node split, dim1 filling each node: the same occupancy on both machines
-PLAN = CommPlan(4, 6, ranks_per_node=4)
+PLAN = CommPlan(4, 6, spread_nodes=1, ranks_per_node=4)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +134,14 @@ def test_load_topology_errors(tmp_path):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        CommPlan(0, 4)
+        CommPlan(0, 4, 1, 4)
     with pytest.raises(ValueError):
-        CommPlan(2, 2, spread_nodes=0)
+        CommPlan(2, 2, spread_nodes=0, ranks_per_node=4)
     with pytest.raises(ValueError):
-        CommPlan(2, 2, ranks_per_node=0)
-    assert CommPlan(3, 5).total_ranks == 15
+        CommPlan(2, 2, spread_nodes=1, ranks_per_node=0)
+    with pytest.raises(TypeError):
+        CommPlan(2, 2)  # a plan states its spread and its occupancy
+    assert CommPlan(3, 5, 1, 3).total_ranks == 15
 
 
 def test_volume_model_validation():
@@ -155,7 +156,7 @@ def test_allreduce_volume_grows_with_group_size():
     # at fixed total ranks the reduce buffer grows with n2
     vm = VolumeModel(0, 10**6)
     volumes = [
-        allreduce_volume(vm, CommPlan(24 // n2, n2))
+        allreduce_volume(vm, CommPlan(24 // n2, n2, spread_nodes=1, ranks_per_node=24))
         for n2 in (1, 2, 4, 8, 24)
     ]
     assert volumes == sorted(volumes)
@@ -167,28 +168,28 @@ def test_allreduce_volume_grows_with_group_size():
 
 
 def test_zero_work_costs_exactly_zero():
-    plan = CommPlan(4, 6)
-    assert collective_time("alltoall", 0.0, plan, PERL) == 0.0
-    assert collective_time("allreduce", 0.0, plan, FRONT) == 0.0
-    solo = CommPlan(1, 1)
+    assert collective_time("alltoall", 0.0, PLAN, PERL) == 0.0
+    assert collective_time("allreduce", 0.0, PLAN, FRONT) == 0.0
+    solo = CommPlan(1, 1, spread_nodes=1, ranks_per_node=1)
     assert collective_time("alltoall", 1e9, solo, PERL) == 0.0
     assert collective_time("allreduce", 1e9, solo, PERL) == 0.0
 
 
 def test_collective_time_input_validation():
-    plan = CommPlan(4, 6)
     with pytest.raises(ValueError):
-        collective_time("gather", 1e6, plan, PERL)
+        collective_time("gather", 1e6, PLAN, PERL)
     with pytest.raises(ValueError):
-        collective_time("alltoall", -1.0, plan, PERL)
+        collective_time("alltoall", -1.0, PLAN, PERL)
 
 
 def test_plan_must_fit_node_capacity():
-    # more ranks per node than slots, and a group share wider than the fill
-    for plan, match in ((CommPlan(8, 1, ranks_per_node=8), "capacity"),
-                        (CommPlan(8, 1, spread_nodes=2, ranks_per_node=3), "needs 4 slots per node")):
-        with pytest.raises(ValueError, match=match):
-            collective_time("alltoall", 1e6, plan, PERL)
+    # a group share wider than the fill cannot be built; more ranks per node
+    # than the topology has slots cannot be priced
+    unplaceable = "dim1 group of 8 over 2 node(s) needs 4 slots per node but only 3 are active"
+    with pytest.raises(ValueError, match=re.escape(unplaceable)):
+        CommPlan(8, 1, spread_nodes=2, ranks_per_node=3)
+    with pytest.raises(ValueError, match="8 ranks per node exceeds node capacity 4"):
+        collective_time("alltoall", 1e6, CommPlan(8, 1, spread_nodes=1, ranks_per_node=8), PERL)
 
 
 def test_intra_node_alltoall_exact_share():
@@ -202,7 +203,7 @@ def test_same_gpu_traffic_is_free():
         name="one-gpu", gpus_per_node=1, intra_node_links=1, intra_link_gbps=10.0,
         nic_layout="shared_bus", nics_per_node=1, nic_bandwidth=10.0, processes_per_gpu=4,
     )
-    plan = CommPlan(4, 1)
+    plan = CommPlan(4, 1, spread_nodes=1, ranks_per_node=4)
     assert collective_time("alltoall", 1e9, plan, topo) == 0.0
 
 
@@ -217,9 +218,8 @@ def test_cross_node_pair_rate():
 
 
 def test_time_linear_in_bytes_without_latency():
-    plan = CommPlan(4, 6, ranks_per_node=4)
-    t1 = collective_time("allreduce", 1e8, plan, FRONT)
-    t2 = collective_time("allreduce", 2e8, plan, FRONT)
+    t1 = collective_time("allreduce", 1e8, PLAN, FRONT)
+    t2 = collective_time("allreduce", 2e8, PLAN, FRONT)
     assert t2 == pytest.approx(2 * t1, rel=1e-12)
 
 
@@ -254,7 +254,7 @@ def test_shared_bus_hurts_allreduce_more_than_alltoall():
 def test_collective_time_is_builtin_float(kind):
     # both groups exceed one rank, so the traffic fractions are counted;
     # a numpy scalar here reaches the CSV reports as "np.float64(...)"
-    spread = CommPlan(8, 3, spread_nodes=2)
+    spread = CommPlan(8, 3, spread_nodes=2, ranks_per_node=4)
     for plan, topo in ((PLAN, PERL), (PLAN, FRONT), (spread, PERL)):
         assert plan.n1 > 1 and plan.n2 > 1
         assert type(collective_time(kind, 1e9, plan, topo)) is float
@@ -264,7 +264,7 @@ def test_sibling_share_discounts_cross_node_volume():
     # 8 ranks per frontier node: each rank has one same-GPU peer, and the
     # higher occupancy exactly cancels against the thinner bandwidth slice
     state = 10**10
-    plan = CommPlan(8, 6, ranks_per_node=8)  # 48 ranks, dim1 filling each of 6 nodes
+    plan = CommPlan(8, 6, spread_nodes=1, ranks_per_node=8)  # 48 ranks, dim1 filling each of 6 nodes
     v48 = alltoall_volume(VolumeModel(state, 0), plan)
     t48 = collective_time("alltoall", v48, plan, FRONT)
     assert t48 == pytest.approx(state / (800 * GB), rel=1e-12)
@@ -305,17 +305,18 @@ def test_planner_rejects_impossible_requests():
 def _enumerated_plan(vm, ranks, nodes, topo):
     """The cheapest plan by exhaustive enumeration.
 
-    Every divisor n1 and every spread 1..min(n1, nodes) whose _layout fits
-    the nodes is scored; the least (seconds, -n1, spread) wins.
+    Every divisor n1 and every spread 1..min(n1, nodes) that builds a plan
+    at the balanced fill and whose bands fit the nodes is scored; the least
+    (seconds, -n1, spread) wins.
     """
     u, best = -(-ranks // nodes), None
     for n1 in (d for d in range(1, ranks + 1) if ranks % d == 0):
         for k in range(1, min(n1, nodes) + 1):
-            plan = CommPlan(n1, ranks // n1, spread_nodes=k, ranks_per_node=u)
             try:
-                _, _, q = _layout(plan, topo)
+                plan = CommPlan(n1, ranks // n1, spread_nodes=k, ranks_per_node=u)
             except ValueError:
                 continue
+            _, q = plan.slots
             if -(-plan.n2 // q) * k <= nodes:
                 seconds = collective_time("alltoall", alltoall_volume(vm, plan), plan, topo) \
                     + collective_time("allreduce", allreduce_volume(vm, plan), plan, topo)
@@ -368,7 +369,7 @@ def test_predict_report_natural_volume_identity():
 
 
 def test_predict_report_degenerate_split_is_free():
-    rows = predict_report(make_case("sh03b-desk"), PERL, CommPlan(1, 1))
+    rows = predict_report(make_case("sh03b-desk"), PERL, CommPlan(1, 1, spread_nodes=1, ranks_per_node=1))
     assert all(r.seconds == 0.0 and r.bytes_per_rank == 0.0 for r in rows)
 
 
@@ -380,20 +381,18 @@ def test_predict_report_values_are_builtin_floats():
 
 
 def test_pair_fractions_match_rank_by_rank_oracle():
-    # every layout of n1, n2 in 2..9 over 1..4 nodes at every fill a node
-    # of 1..4 GPUs holds, each under the fewest processes per GPU (1..3)
-    # that fit it: capacity only bounds the fill, not the fractions
+    # every layout of n1, n2 in 2..9 over 1..4 nodes at every fill of
+    # 1..3*gpus ranks on a node of 1..4 GPUs: of the topology, the
+    # fractions read only the GPU count
     wrong = []
     for gpus in range(1, 5):
         for fill in range(1, 3 * gpus + 1):
-            topo = dataclasses.replace(PERL, gpus_per_node=gpus, processes_per_gpu=-(-fill // gpus))
             for n1, n2, k in itertools.product(range(2, 10), range(2, 10), range(1, 5)):
                 if -(-n1 // k) > fill:
                     continue
                 plan = CommPlan(n1, n2, k, fill)
-                _, c1, q = _layout(plan, topo)
                 for kind in ("alltoall", "allreduce"):
-                    if _pair_class_fractions(kind, plan, c1, q, gpus) != \
+                    if _pair_class_fractions(kind, plan, gpus) != \
                             comm_pair_fractions_oracle(n1, n2, k, fill, gpus, kind):
                         wrong.append((kind, plan, gpus))
     assert wrong == []
