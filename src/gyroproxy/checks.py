@@ -39,7 +39,7 @@ from .grid import GridShape, component_mean_abs, make_case, random_state, substr
 from .kernels import (KERNEL_NAMES, KERNEL_VARIANTS, blas_core, checksum, make_kernel_inputs, run_kernel,
                       time_calls)
 from .padding import dealias_minimum, factorize, plan_padded_size
-from .spectral import bracket, to_real, to_spectrum
+from .spectral import bracket, bracket_fields, to_real, to_spectrum
 
 #: Relative tolerance of each kernel against its oracle: for nonlinear, of
 #: the bracket against mode-sum convolution.  shear is pure data movement
@@ -53,14 +53,14 @@ TRANSFORM_TOLERANCE = 1e-13
 SELF_BRACKET_LIMIT = 0.0
 
 #: The reference of each kernel, as f(h, inputs): a loop oracle for a linear
-#: kernel, and one spectral.bracket per velocity slice for nonlinear.
+#: kernel, and one spectral.bracket per velocity slice, against phi's fields, for nonlinear.
 ORACLES = {
     "field": lambda h, inputs: oracles.field_moment_oracle(h, inputs["weights"]),
     "stream": lambda h, inputs: oracles.stream_oracle(h, inputs["stencil"]),
     "shear": lambda h, inputs: oracles.shear_oracle(h, inputs["shifts"]),
     "collision": lambda h, inputs: oracles.collision_oracle(h, inputs["matrices"]),
-    "nonlinear": lambda h, inputs: np.stack(
-        [bracket(v, inputs["phi"]) for v in h.reshape(-1, *h.shape[3:])]).reshape(h.shape),
+    "nonlinear": lambda h, inputs: np.stack([bracket(v, phi) for phi in [bracket_fields(inputs["phi"])]
+                                             for v in h.reshape(-1, *h.shape[3:])]).reshape(h.shape),
 }
 
 #: Bracket grids (n_kx, n_ky): even and odd radial sizes, up to 16x8.

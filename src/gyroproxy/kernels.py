@@ -19,10 +19,10 @@ Where a restructuring optimization exists, both sides of it are kept:
 ``field``, ``collision`` and ``nonlinear`` have one implementation, which
 runs as their ``optimized`` variant; they have no ``original``.
 
-Every kernel splits its output into disjoint slabs over ``threads``
-workers of one pool per thread count that lives for the whole process.
-A slab runs the same numpy calls it would on one thread, so the thread
-count never changes a result, bit for bit.
+Every kernel splits its output over ``threads`` workers of one process-wide
+pool per thread count: a linear kernel into equal disjoint slabs, nonlinear
+into velocity rows claimed one at a time, so a slowed worker leaves its
+rows to the others.  A slab or a row runs as on one thread, bit for bit.
 
 A kernel returns a fresh ``np.empty`` array, written in full.  At import
 the module sets glibc's malloc, through ``mallopt`` and two constants, to
@@ -45,6 +45,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import resource
 import statistics
 import time
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridShape, random_complex, substream
-from .spectral import bracket, bracket_plans
+from .spectral import bracket, bracket_fields, bracket_plans
 
 KERNEL_NAMES = ("field", "stream", "shear", "collision", "nonlinear")
 VARIANTS = ("original", "optimized")
@@ -93,7 +94,7 @@ def _fresh(shape, dtype=complex) -> np.ndarray:
 
 
 def _split(n: int, threads: int, fn) -> None:
-    """fn(lo, hi) over disjoint ranges covering 0..n, on min(threads, n) workers.
+    """fn(lo, hi) over equal disjoint ranges covering 0..n, on min(threads, n) workers: a static split.
 
     A single range runs fn(0, n) on the calling thread, with no pool call.
     """
@@ -213,16 +214,22 @@ def nonlinear_kernel(h: np.ndarray, phi: np.ndarray, threads: int = 1) -> np.nda
         h: distribution state.
         phi: field moment [theta][toroidal][radial], bracketed against each
             state slice at the matching theta on bracket's own padded grid.
-        threads: workers the velocity rows are split over, each bracketing
-            straight into its slab of the output.  The result is identical
-            for any thread count.
+        threads: workers that claim velocity rows one at a time and bracket
+            each into the output against phi's fields, synthesized once per
+            call.  Any thread count gives the same result.
     """
     n_theta, n_ky, n_kx = h.shape[3:]
     if phi.shape != (n_theta, n_ky, n_kx):
         raise ValueError(f"phi shape {phi.shape} != field dims {(n_theta, n_ky, n_kx)}")
     batch = h.reshape(-1, n_theta, n_ky, n_kx)
     out = _fresh(batch.shape)
-    _split(len(batch), threads, lambda lo, hi: bracket(batch[lo:hi], phi, out=out[lo:hi]))
+    workers = min(threads, len(batch))
+    if workers <= 1:
+        bracket(batch, phi, out=out)
+    else:
+        fields, claims = bracket_fields(phi), itertools.count()  # next() on a count is atomic under the GIL
+        claim = lambda _: bracket(batch, fields, out=out, rows=itertools.takewhile(len(batch).__gt__, claims))
+        list(_pool(threads).map(claim, range(workers)))
     return out.reshape(h.shape)
 
 

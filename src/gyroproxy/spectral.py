@@ -24,10 +24,10 @@ exact inverse of synthesis on retained modes.  Both scale inside the
 transforms (``norm="forward"``) and form only the n_ky retained rows: the
 x-stage is a pruned FFT (Markel 1971), the y-stage a product with a small
 real DFT matrix made by irfft/rfft of identity rows, so its ky = 0 and
-Nyquist handling is pocketfft's own.  :func:`bracket` runs a batch one
-leading-axis row per synthesis and analysis pass, with an operand's d/dx,
-d/dy pair on a new leading axis and the product formed in place in f's
-two fields; slices never mix, so results are the same as slice by slice.
+Nyquist handling is pocketfft's own.  :func:`bracket` synthesizes g's
+d/dx, d/dy pair once, then brackets f one leading-axis row per synthesis
+and analysis pass, the product formed in place in f's two fields; slices
+never mix, so results are the same as slice by slice.
 
 The unpaired Nyquist column
 ---------------------------
@@ -42,6 +42,7 @@ is also what keeps the bracket's antisymmetry exact.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +137,24 @@ def bracket_plans(n_kx: int, n_ky: int):
     return plan_padded_size(n_kx), plan_padded_size(2 * n_ky - 1)
 
 
-def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+class Fields(NamedTuple):
+    """g's shape, d/dx and d/dy factors (2, n_ky, n_kx) and fields (2, ..., n_y, n_x), from bracket_fields."""
+
+    shape: tuple
+    ik: np.ndarray
+    pair: np.ndarray
+
+
+def bracket_fields(g: np.ndarray) -> Fields:
+    """g's d/dx, d/dy fields on bracket's padded grid, one to_real call, for bracket to take in place of g."""
+    g = np.asarray(g, dtype=complex)
+    n_ky, n_kx = g.shape[-2:]
+    n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
+    ik = np.stack(np.broadcast_arrays(1j * kx_derivative_values(n_kx), 1j * np.arange(n_ky, dtype=float)[:, None]))
+    return Fields(g.shape, ik, to_real(ik.reshape((2,) + (1,) * (g.ndim - 2) + ik.shape[1:]) * g, n_x, n_y))
+
+
+def bracket(f: np.ndarray, g: np.ndarray | Fields, out: np.ndarray | None = None, *, rows=None) -> np.ndarray:
     """Dealiased Poisson bracket {f, g} = (dx f)(dy g) - (dy f)(dx g).
 
     Computed pseudo-spectrally: spectral derivatives (multiply by i*k with
@@ -145,28 +163,29 @@ def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.n
     bracket_plans(n_kx, n_ky) the result equals the true quadratic
     convolution truncated to retained modes, with no aliased terms.
 
-    Each operand's d/dx, d/dy pair is one to_real call with the pair on a
-    new leading axis, so each field is a contiguous plane: g's once per
-    call, f's once per leading-axis row.  The product is formed in place in
-    f's two planes, released before the next row's synthesis, so a pass
-    holds one row's temporaries.  Slices never mix, so a result is the same
-    as slice by slice.
+    Two steps: g's d/dx, d/dy pair is synthesized once (bracket_fields),
+    then a per-row pass brackets f's leading-axis rows against it, each
+    row's pair one to_real call.  The product is formed in place in f's
+    two planes, released before the next row's synthesis, so a pass holds
+    one row's temporaries.  Slices never mix, so a result is the same as
+    slice by slice, and a row is the same whichever call brackets it.
 
     Args:
         f, g: spectra of identical logical shape; leading batch dimensions
-            broadcast against each other.
+            broadcast against each other.  g may be given as its Fields.
         out: optional C-contiguous complex array of the result's shape,
             written and returned in place of a fresh one.
+        rows: iterable of the leading-axis rows to bracket, read as the
+            pass goes; other rows of ``out`` are left as they are.
 
     Raises:
         ValueError: shape mismatch or an unusable ``out``.
     """
     f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
+    g = g if isinstance(g, Fields) else bracket_fields(g)
     if f.shape[-2:] != g.shape[-2:]:
         raise ValueError(f"logical shapes differ: {f.shape[-2:]} vs {g.shape[-2:]}")
-    n_ky, n_kx = f.shape[-2:]
-    n_x, n_y = (plan.n_padded for plan in bracket_plans(n_kx, n_ky))
+    (n_ky, n_kx), (n_y, n_x) = f.shape[-2:], g.pair.shape[-2:]
     shape = np.broadcast_shapes(f.shape, g.shape)
     if out is None:
         out = np.empty(shape, dtype=complex)
@@ -174,17 +193,11 @@ def bracket(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.n
         raise ValueError(f"out must be C-contiguous complex {shape}, got {out.dtype} {out.shape}")
     batch = shape[:-2] or (1,)
     f = np.broadcast_to(f, batch + (n_ky, n_kx))
-    ikx = 1j * kx_derivative_values(n_kx)
-    iky = 1j * np.arange(n_ky, dtype=float)[:, None]
-    ik = np.stack(np.broadcast_arrays(ikx, iky))  # (2, n_ky, n_kx): d/dx, d/dy
-
-    def fields(spec):  # spec's (d/dx, d/dy) fields, the pair on a new leading axis
-        return to_real(ik.reshape((2,) + (1,) * (spec.ndim - 2) + ik.shape[1:]) * spec, n_x, n_y)
-
-    gx, gy = (np.broadcast_to(d, batch + (n_y, n_x)) for d in fields(g))
+    gx, gy = (np.broadcast_to(d, batch + (n_y, n_x)) for d in g.pair)
+    ik = g.ik.reshape((2,) + (1,) * (len(batch) - 1) + (n_ky, n_kx))  # broadcasts against one row of f
     result = out.reshape(batch + (n_ky, n_kx))
-    for row in range(batch[0]):
-        fx, fy = fields(f[row])
+    for row in range(batch[0]) if rows is None else rows:
+        fx, fy = to_real(ik * f[row], n_x, n_y)  # the pair on a new leading axis
         prod = np.multiply(fx, gy[row], out=fx)
         prod -= np.multiply(fy, gx[row], out=fy)
         result[row] = to_spectrum(prod, n_kx, n_ky)

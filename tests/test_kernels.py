@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gyroproxy import checks, kernels
+from gyroproxy import checks, kernels, spectral
 from gyroproxy.checks import TOLERANCE, rel_err
 from gyroproxy.grid import GridShape, make_case, random_state, substream
 from gyroproxy.kernels import (
@@ -276,6 +276,41 @@ def test_nonlinear_slice_matches_convolution_oracle():
         assert rel_err(out[0, 0, 0, t], want) < TOLERANCE["nonlinear"]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_nonlinear_synthesizes_phi_once_per_call(threads, monkeypatch):
+    shape = make_case("sh03b-desk")
+    h, inputs = seeded(shape, 45)
+    to_real, calls = spectral.to_real, []
+    monkeypatch.setattr(spectral, "to_real", lambda *args: calls.append(args) or to_real(*args))
+    nonlinear_kernel(h, inputs["phi"], threads)
+    assert len(calls) == shape.velocity_size + 1  # phi's pair, then one pair per velocity row
+
+
+def test_stalled_nonlinear_worker_leaves_its_rows_to_the_other(monkeypatch):
+    # the first row's analysis waits until the other worker has done every other row
+    h, inputs = seeded(SMALL, 46)
+    want = nonlinear_kernel(h, inputs["phi"])
+    to_spectrum, lock, done, released = spectral.to_spectrum, threading.Lock(), {}, threading.Event()
+
+    def stalling(*args):
+        with lock:
+            first = not done
+            done.setdefault(threading.get_ident(), 0)
+        if first:
+            assert released.wait(10), "the other worker left rows unclaimed"
+        out = to_spectrum(*args)
+        with lock:
+            done[threading.get_ident()] += 1
+            if sum(done.values()) == SMALL.velocity_size - 1:
+                released.set()
+        return out
+
+    monkeypatch.setattr(spectral, "to_spectrum", stalling)
+    got = nonlinear_kernel(h, inputs["phi"], threads=2)
+    assert np.array_equal(got, want)
+    assert sorted(done.values()) == [1, SMALL.velocity_size - 1]
+
+
 def test_nonlinear_preserves_representability():
     shape = GridShape(n_radial=8, n_toroidal=4, n_theta=2, n_xi=2, n_energy=1, n_species=1)
     gen = substream(20, 0)
@@ -344,6 +379,10 @@ def test_one_thread_makes_no_pool_call(monkeypatch):
     h, inputs = seeded(SMALL, 36)
     for kernel, variant in KERNEL_CASES:
         run_kernel(kernel, h, inputs, variant, threads=1)
+    # the nonlinear kernel splits velocity rows: one row takes no pool call at any thread count
+    one_row = GridShape(n_radial=12, n_toroidal=4, n_theta=5, n_xi=1, n_energy=1, n_species=1)
+    h, inputs = seeded(one_row, 44)
+    assert np.array_equal(run_kernel("nonlinear", h, inputs, threads=2), run_kernel("nonlinear", h, inputs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gyroproxy.oracles import (
 from gyroproxy.padding import dealias_minimum
 from gyroproxy.spectral import (
     bracket,
+    bracket_fields,
     bracket_plans,
     kx_derivative_values,
     to_real,
@@ -344,6 +345,19 @@ def test_bracket_writes_into_out():
     for bad in (out[:2], out.real.copy(), np.empty((3, 4, 16), dtype=complex)[..., ::2]):
         with pytest.raises(ValueError):
             bracket(f, g, out=bad)
+
+
+def test_bracket_takes_fields_and_rows():
+    gen = substream(31, 0)
+    f = np.stack([random_spectrum(8, 4, gen) for _ in range(3)])
+    g = random_spectrum(8, 4, gen)
+    want = bracket(f, g)
+    assert np.array_equal(bracket(f, bracket_fields(g)), want)
+    out = np.full(f.shape, np.nan, dtype=complex)
+    bracket(f, bracket_fields(g), out=out, rows=iter([2, 0]))
+    assert np.array_equal(out[[0, 2]], want[[0, 2]]) and np.all(np.isnan(out[1]))
+    with pytest.raises(ValueError):
+        bracket(f, bracket_fields(g[:3]))
 
 
 def _to_real_batches(monkeypatch, f, g):
